@@ -39,3 +39,21 @@ class ConsistencyError(CoprimeArrayError):
 
 class NotFittedError(CoprimeArrayError):
     """The estimator was used before ``fit``."""
+
+
+#: Relative bound of the runtime cross-checks on floating-point results.
+#: Closed forms and transforms agree with their oracles to about 1e-13 of
+#: the checked quantity's scale up to (60, 61), so this leaves ample margin
+#: while an absolute bound would fail as windows grow with M*N.
+CHECK_RTOL = 1e-11
+
+
+def check_residual(what: str, residual: float, scale: float) -> None:
+    """Raise ConsistencyError unless ``residual <= CHECK_RTOL * scale``.
+
+    `scale` bounds the checked quantity, for example the sum of a window's
+    absolute values, which bounds its transform everywhere.
+    """
+    bound = CHECK_RTOL * scale
+    if not residual <= bound:
+        raise ConsistencyError(f"{what}: residual {residual:.3g} exceeds bound {bound:.3g}")

@@ -2,9 +2,9 @@
 
 One snapshot is one extended sampling period of 2MN Nyquist instants, of
 which the two interleaved samplers retain 2M + N - 1.  The autocorrelation
-is estimated per snapshot over a chosen lag range, transformed to a
-correlogram, and averaged across snapshots for a low-latency spectrum
-estimate.
+over a chosen lag range is averaged across snapshots and transformed to a
+correlogram for a low-latency spectrum estimate; by linearity that equals
+the mean of the per-snapshot correlograms.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     InsufficientDataError,
     NotEnoughPeaksError,
     NotFittedError,
     OutOfRangeError,
+    check_residual,
 )
 from .pair import CoprimePair
 from .sets import RangeKind, lag_limit, sampler_positions
@@ -171,9 +173,8 @@ def _structure(M: int, N: int, range_value: str) -> _PairStructure:
     left, right, lags = left[keep], right[keep], lags[keep]
     weights = np.bincount(lags, minlength=limit + 1)
     expected = weight_closed_form(pair, range_kind)
-    assert all(
-        int(weights[lag]) == expected[lag] for lag in range(limit + 1)
-    ), "pair tally disagrees with the weight function"
+    if any(int(weights[lag]) != expected[lag] for lag in range(limit + 1)):
+        raise ConsistencyError(f"pair tally of {pair} disagrees with the weight function")
     return _PairStructure(positions, left, right, lags, limit, weights)
 
 
@@ -201,6 +202,56 @@ class AutocorrEstimate:
         return complex(self.values[lag + limit])
 
 
+def _lag_estimate(
+    samples: np.ndarray,
+    pair: CoprimePair,
+    range_kind: RangeKind,
+    normalization: str,
+    s_b: float | None,
+) -> AutocorrEstimate:
+    """Autocorrelation averaged over the rows of `samples` (L x 2M+N-1).
+
+    The Gram matrix of the retained samples sums every pair product over
+    the snapshots in O(L * (2M+N-1)^2); the pairs within the lag range are
+    then reduced to lags and normalized once.
+    """
+    if normalization not in ("biased", "unbiased"):
+        raise OutOfRangeError(f"normalization must be 'biased' or 'unbiased', got {normalization!r}")
+    structure = _structure(pair.M, pair.N, range_kind.value)
+    snapshots = len(samples)
+    products = (samples.T @ samples.conj())[structure.left, structure.right]
+    size = structure.limit + 1
+    forward = (np.bincount(structure.lags, products.real, size)
+               + 1j * np.bincount(structure.lags, products.imag, size))
+    # The zero lag sums |x|^2 terms; drop the rounding residue fused complex
+    # multiplies leave in its imaginary part so the estimate is exactly real
+    # there and conjugate symmetry is exact.
+    forward[0] = forward[0].real
+    if normalization == "biased":
+        if s_b is None:
+            s_b = float(pair.sample_count)
+        if s_b <= 0:
+            raise OutOfRangeError(f"s_b must be positive, got {s_b}")
+        forward /= s_b * snapshots
+    else:
+        s_b = None
+        achievable = structure.weights > 0
+        forward[achievable] /= structure.weights[achievable] * snapshots
+    values = np.concatenate((np.conj(forward[:0:-1]), forward))
+    lags = np.arange(-structure.limit, structure.limit + 1)
+    return AutocorrEstimate(pair, range_kind, normalization, s_b, lags, values, snapshots)
+
+
+def _snapshot_correlogram(
+    stream: np.ndarray, pair: CoprimePair, snapshots: int, range_kind: RangeKind,
+    grid: FrequencyGrid, normalization: str, s_b: float | None,
+) -> SpectrumCurve:
+    """Correlogram of the autocorrelation averaged over the first `snapshots` snapshots."""
+    positions = _structure(pair.M, pair.N, range_kind.value).positions
+    samples = stream[: snapshots * pair.period].reshape(snapshots, pair.period)[:, positions]
+    return correlogram(_lag_estimate(samples, pair, range_kind, normalization, s_b), grid)
+
+
 def autocorrelation(
     data: SnapshotData,
     pair: CoprimePair,
@@ -218,51 +269,31 @@ def autocorrelation(
     """
     pair = as_pair(pair)
     range_kind = as_range_kind(range_kind)
-    if normalization not in ("biased", "unbiased"):
-        raise OutOfRangeError(f"normalization must be 'biased' or 'unbiased', got {normalization!r}")
-    structure = _structure(pair.M, pair.N, range_kind.value)
-    if len(data.values) != len(structure.positions):
+    if len(data.values) != len(_structure(pair.M, pair.N, range_kind.value).positions):
         raise OutOfRangeError("snapshot does not match the pair's sampler positions")
-    products = data.values[structure.left] * np.conj(data.values[structure.right])
-    forward = np.zeros(structure.limit + 1, dtype=np.complex128)
-    np.add.at(forward, structure.lags, products)
-    # The zero lag sums |x|^2 terms; drop the rounding residue fused complex
-    # multiplies leave in its imaginary part so the estimate is exactly real
-    # there and conjugate symmetry is exact.
-    forward[0] = forward[0].real
-    if normalization == "biased":
-        if s_b is None:
-            s_b = float(pair.sample_count)
-        if s_b <= 0:
-            raise OutOfRangeError(f"s_b must be positive, got {s_b}")
-        forward /= s_b
-    else:
-        s_b = None
-        achievable = structure.weights > 0
-        forward[achievable] /= structure.weights[achievable]
-    values = np.concatenate((np.conj(forward[:0:-1]), forward))
-    lags = np.arange(-structure.limit, structure.limit + 1)
-    return AutocorrEstimate(pair, range_kind, normalization, s_b, lags, values)
-
-
-@lru_cache(maxsize=16)
-def _phase_matrix_cached(grid_size: int, limit: int) -> np.ndarray:
-    grid = FrequencyGrid(grid_size)
-    lags = np.arange(-limit, limit + 1)
-    return np.exp(-1j * np.outer(grid.points, lags))
+    return _lag_estimate(data.values[None, :], pair, range_kind, normalization, s_b)
 
 
 def correlogram(estimate: AutocorrEstimate, grid: FrequencyGrid | int) -> SpectrumCurve:
-    """Transform of the autocorrelation estimate.
+    """Transform of the autocorrelation estimate on the frequency grid.
 
-    Conjugate symmetry makes the transform real; the imaginary residual is
-    asserted below 1e-9 and discarded.
+    The grid omega_k = 2*pi*(k - G/2)/G is a G-point DFT grid, because
+    exp(-i*omega_k*l) = (-1)^l * exp(-2*pi*i*k*l/G).  So the lags fold
+    mod G with the sign (-1)^l, exactly for any lag range, and one FFT
+    evaluates the transform in O(lags + G log G).  Conjugate symmetry makes
+    the transform real; the imaginary residual is checked against the
+    relative bound of sum |values| (which bounds the transform) and
+    discarded.
     """
     grid = as_grid(grid)
-    limit = (len(estimate.lags) - 1) // 2
-    transform = _phase_matrix_cached(grid.size, limit) @ estimate.values
+    lags = estimate.lags
+    signed = np.where(lags % 2 == 0, estimate.values, -estimate.values)
+    folded_at = lags % grid.size
+    folded = (np.bincount(folded_at, signed.real, grid.size)
+              + 1j * np.bincount(folded_at, signed.imag, grid.size))
+    transform = np.fft.fft(folded)
     residual = float(np.max(np.abs(transform.imag)))
-    assert residual < 1e-9, f"correlogram imaginary residual {residual:g}"
+    check_residual("correlogram imaginary part", residual, float(np.sum(np.abs(estimate.values))))
     return SpectrumCurve(grid, transform.real)
 
 
@@ -275,40 +306,23 @@ def average_correlogram(
     normalization: str = "biased",
     s_b: float | None = None,
     realization: int = 0,
-    combine: str = "correlogram",
 ) -> SpectrumCurve:
     """Mean correlogram over `snapshot_count` snapshots of one realization.
 
-    `combine` selects whether per-snapshot correlograms are averaged
-    (default) or the autocorrelations are averaged before one transform;
-    the two agree by linearity.  Snapshots are reduced in index order, so
-    the result is a deterministic function of the model seed.
+    By linearity this is the correlogram of the snapshot-averaged
+    autocorrelation, which one batched kernel computes: the Gram matrix of
+    all retained samples, a reduction of its pairs to lags, then one fold
+    mod G and one FFT, O(L * (2M+N-1)^2 + G log G) in all.  The result is a
+    deterministic function of the model seed.
     """
     pair = as_pair(pair)
     range_kind = as_range_kind(range_kind)
     grid = as_grid(grid)
     snapshot_count = check_positive_int("snapshot_count", snapshot_count)
-    if combine not in ("correlogram", "autocorrelation"):
-        raise OutOfRangeError(f"combine must be 'correlogram' or 'autocorrelation', got {combine!r}")
     stream = generate_signal(model, pair.period * snapshot_count, realization)
-    running: np.ndarray | None = None
-    last = None
-    for index in range(snapshot_count):
-        snapshot = sample_snapshot(stream, pair, index)
-        estimate = autocorrelation(snapshot, pair, range_kind, normalization, s_b)
-        last = estimate
-        if combine == "correlogram":
-            term = correlogram(estimate, grid).values
-        else:
-            term = estimate.values
-        running = term.copy() if running is None else running + term
-    mean = running / snapshot_count
-    if combine == "correlogram":
-        return SpectrumCurve(grid, mean)
-    averaged = AutocorrEstimate(
-        pair, range_kind, normalization, last.s_b, last.lags, mean, snapshot_count
+    return _snapshot_correlogram(
+        stream, pair, snapshot_count, range_kind, grid, normalization, s_b
     )
-    return correlogram(averaged, grid)
 
 
 def detect_peaks(curve: SpectrumCurve, count: int) -> list[tuple[float, float]]:
@@ -335,6 +349,8 @@ class CoprimeCorrelogram:
     Parameters are set at construction and readable through
     ``get_params``/``set_params``; ``fit`` consumes a Nyquist-rate complex
     sample stream and exposes the averaged spectrum as fitted attributes.
+    ``fit`` runs the batched kernel of ``average_correlogram`` once over all
+    snapshots; memory does not grow with G times the number of lags.
 
     Parameters
     ----------
@@ -351,8 +367,6 @@ class CoprimeCorrelogram:
         Biased-normalization constant; None means 2M + N - 1.
     grid_size : int
         Frequency grid size (even, >= 1024).
-    combine : str
-        'correlogram' or 'autocorrelation' averaging.
 
     Attributes
     ----------
@@ -375,7 +389,6 @@ class CoprimeCorrelogram:
         normalization: str = "biased",
         s_b: float | None = None,
         grid_size: int = 4096,
-        combine: str = "correlogram",
     ):
         self.M = M
         self.N = N
@@ -384,11 +397,9 @@ class CoprimeCorrelogram:
         self.normalization = normalization
         self.s_b = s_b
         self.grid_size = grid_size
-        self.combine = combine
 
     _param_names = (
-        "M", "N", "snapshots", "lag_range", "normalization", "s_b",
-        "grid_size", "combine",
+        "M", "N", "snapshots", "lag_range", "normalization", "s_b", "grid_size",
     )
 
     def get_params(self, deep: bool = True) -> dict:
@@ -415,25 +426,10 @@ class CoprimeCorrelogram:
                 f"{n_snapshots or 1} snapshot(s) of {pair.period} samples "
                 f"requested, stream has {len(stream)}"
             )
-        running: np.ndarray | None = None
-        for index in range(n_snapshots):
-            snapshot = sample_snapshot(stream, pair, index)
-            estimate = autocorrelation(
-                snapshot, pair, range_kind, self.normalization, self.s_b
-            )
-            if self.combine == "autocorrelation":
-                term = estimate.values
-            else:
-                term = correlogram(estimate, grid).values
-            running = term.copy() if running is None else running + term
-        mean = running / n_snapshots
-        if self.combine == "autocorrelation":
-            averaged = AutocorrEstimate(
-                pair, range_kind, self.normalization, self.s_b,
-                np.arange(-(len(mean) // 2), len(mean) // 2 + 1), mean, n_snapshots,
-            )
-            return correlogram(averaged, grid), n_snapshots
-        return SpectrumCurve(grid, mean), n_snapshots
+        curve = _snapshot_correlogram(
+            stream, pair, n_snapshots, range_kind, grid, self.normalization, self.s_b
+        )
+        return curve, n_snapshots
 
     def fit(self, X, y=None) -> "CoprimeCorrelogram":
         """Estimate the averaged spectrum of the stream `X`."""

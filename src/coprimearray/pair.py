@@ -1,5 +1,6 @@
 """Validated co-prime undersampling pair and its derived constants."""
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -9,6 +10,16 @@ from .errors import NotCoprimeError, OutOfRangeError
 # cap keeps those enumerations cheap; it is a documented limit, not a
 # correctness bound.
 MAX_FACTOR = 10_000
+
+
+def exact_int(name: str, value: object) -> int:
+    """`value` as an int: numpy integers pass, bools and non-integral values raise."""
+    if isinstance(value, bool):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -29,9 +40,11 @@ class CoprimePair:
     N: int
 
     def __post_init__(self) -> None:
-        for name, value in (("M", self.M), ("N", self.N)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+        for name in ("M", "N"):
+            # Store a plain int, so numpy integers compare, hash and
+            # multiply like Python integers.
+            value = exact_int(name, getattr(self, name))
+            object.__setattr__(self, name, value)
             if value < 2:
                 raise OutOfRangeError(f"{name} must be at least 2, got {value}")
             if value > MAX_FACTOR:

@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import OutOfRangeError
-from .pair import CoprimePair
+from .pair import CoprimePair, exact_int
 from .sets import RangeKind
 from .spectra import FrequencyGrid
 
@@ -19,7 +19,7 @@ def as_pair(value: CoprimePair | Iterable[int]) -> CoprimePair:
     factors = tuple(value)
     if len(factors) != 2:
         raise OutOfRangeError(f"expected two factors (M, N), got {factors!r}")
-    return CoprimePair(int(factors[0]), int(factors[1]))
+    return CoprimePair(*factors)
 
 
 def as_range_kind(value: RangeKind | str) -> RangeKind:
@@ -52,7 +52,12 @@ def check_stream(values: object) -> np.ndarray:
 
 
 def check_positive_int(name: str, value: int) -> int:
-    value = int(value)
+    """Validate a positive integer (numpy integers included) as an ``int``.
+
+    Non-integral values such as 2.7, and bools, are rejected rather than
+    truncated.
+    """
+    value = exact_int(name, value)
     if value < 1:
         raise OutOfRangeError(f"{name} must be a positive integer, got {value}")
     return value

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import OutOfRangeError
+from .errors import ConsistencyError, OutOfRangeError
 from .pair import CoprimePair
 from .sets import RangeKind, SetKind, difference_set, lag_limit, sampler_positions
 
@@ -106,7 +106,8 @@ def _ext_cross_index_pairs(pair: CoprimePair, range_kind: RangeKind) -> list[tup
                 lower = -(N + 1) + -(-numer // M)
             else:
                 lower = -N + -(-numer // M)
-            assert lower >= 1
+            if lower < 1:
+                raise ConsistencyError(f"extension-cross lower index {lower} < 1 at m={m}")
             pairs.extend((n, m) for n in range(lower, N))
     return pairs
 

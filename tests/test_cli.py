@@ -48,6 +48,15 @@ class TestComplexityCommand:
         assert "prototype-continuous" not in out.read_text()
 
 
+class TestBiasCommand:
+    def test_cross_checks_pass_at_40_41(self, tmp_path):
+        # The closed forms agree with their transforms to about 1e-13 of the
+        # windows' peaks; an absolute bound of 1e-9 failed here.
+        out = tmp_path / "b.csv"
+        assert main(["bias", "-M", "40", "-N", "41", "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2 + 4096
+
+
 class TestVarianceCommand:
     def test_single_pair(self, tmp_path):
         out = tmp_path / "v.csv"

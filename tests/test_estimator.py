@@ -22,6 +22,7 @@ from coprimearray import (
     detect_peaks,
     dirichlet_ratio,
     generate_signal,
+    lag_limit,
     sample_snapshot,
     tones,
     weight_oracle,
@@ -29,6 +30,40 @@ from coprimearray import (
 
 PAIR = CoprimePair(4, 3)
 GRID = FrequencyGrid(1024)
+
+
+def _mean_of_dense_transforms(stream, pair, range_kind, normalization, grid):
+    """Mean over snapshots of each snapshot's directly transformed autocorrelation.
+
+    The reference for the batched kernel: per-snapshot pair products summed
+    lag by lag, normalized, and transformed by the dense phase matrix, in
+    blocks of grid rows to bound memory.  The phase omega_k * l is formed as
+    step * ((k - G/2) * l mod G), exact in integers: the rounded product
+    omega_k * l is off by up to 1e-12 rad at |l| ~ 6500, and over thousands
+    of lags that alone moves the transform by about 1e-12 of its maximum.
+    """
+    M, N = pair.M, pair.N
+    positions = np.array(sorted({M * n for n in range(N)} | {N * m for m in range(2 * M)}))
+    limit = lag_limit(pair, range_kind)
+    lags = np.arange(-limit, limit + 1)
+    differences = positions[:, None] - positions[None, :]
+    kept = np.abs(differences) <= limit
+    counts = np.bincount(differences[kept] + limit, minlength=len(lags))
+    snapshots = len(stream) // pair.period
+    rows = np.zeros((len(lags), snapshots), dtype=complex)
+    for index in range(snapshots):
+        x = stream[index * pair.period + positions]
+        np.add.at(rows[:, index], differences[kept] + limit, np.outer(x, np.conj(x))[kept])
+    if normalization == "biased":
+        rows /= pair.sample_count
+    else:
+        rows[counts > 0] /= counts[counts > 0, None]
+    k = np.arange(grid.size) - grid.size // 2
+    spectra = np.concatenate([
+        np.exp(-1j * grid.step * (np.outer(k[start:start + 256], lags) % grid.size)) @ rows
+        for start in range(0, grid.size, 256)
+    ])
+    return spectra.real.mean(axis=1)
 
 
 class TestSignalModel:
@@ -164,10 +199,29 @@ class TestAverageCorrelogram:
         single = correlogram(autocorrelation(sample_snapshot(stream, PAIR, 0), PAIR), GRID)
         assert np.allclose(averaged.values, single.values)
 
-    def test_combine_orders_agree(self):
-        by_curve = average_correlogram(self.MODEL, PAIR, 8, grid=GRID, combine="correlogram")
-        by_lags = average_correlogram(self.MODEL, PAIR, 8, grid=GRID, combine="autocorrelation")
-        assert np.allclose(by_curve.values, by_lags.values, atol=1e-9)
+    @pytest.mark.parametrize("grid_size", [1024, 4098])
+    @pytest.mark.parametrize("range_kind", list(RangeKind))
+    @pytest.mark.parametrize("M,N", [(4, 3), (3, 7), (14, 13), (40, 41)])
+    def test_batched_kernel_equals_mean_of_dense_transforms(self, M, N, range_kind, grid_size):
+        # G = 1024 folds the (40, 41) full range (6559 lags) several times;
+        # G = 4098 is not a power of two.
+        pair, grid, snapshots = CoprimePair(M, N), FrequencyGrid(grid_size), 3
+        stream = generate_signal(self.MODEL, pair.period * snapshots)
+        # Half a snapshot more, which fit must ignore.
+        padded = np.concatenate([stream, stream[: pair.period // 2]])
+        for normalization in ("biased", "unbiased"):
+            expected = _mean_of_dense_transforms(stream, pair, range_kind, normalization, grid)
+            scale = np.max(np.abs(expected))
+            averaged = average_correlogram(
+                self.MODEL, pair, snapshots, range_kind, grid, normalization
+            )
+            fitted = CoprimeCorrelogram(
+                M, N, lag_range=range_kind.value, normalization=normalization,
+                grid_size=grid_size,
+            ).fit(padded)
+            assert fitted.n_snapshots_ == snapshots
+            assert np.max(np.abs(averaged.values - expected)) <= 1e-12 * scale
+            assert np.max(np.abs(fitted.spectrum_ - expected)) <= 1e-12 * scale
 
     def test_deterministic(self):
         one = average_correlogram(self.MODEL, PAIR, 4, grid=GRID)

@@ -2,6 +2,7 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 
 from coprimearray import (
@@ -48,6 +49,16 @@ class TestCoprimePair:
 
     def test_swapped(self):
         assert CoprimePair(4, 3).swapped() == CoprimePair(3, 4)
+
+    def test_numpy_integers_stored_as_int(self):
+        pair = CoprimePair(np.int64(3), np.int32(7))
+        assert pair == CoprimePair(3, 7)
+        assert type(pair.M) is int and type(pair.N) is int
+
+    @pytest.mark.parametrize("M,N", [(True, 3), (3.0, 7), (2.7, 7), (3, np.float64(7.0)), ("3", 7)])
+    def test_non_integer_factors_rejected(self, M, N):
+        with pytest.raises(OutOfRangeError):
+            CoprimePair(M, N)
 
 
 class TestPositions:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coprimearray import (
+    ConsistencyError,
     CoprimePair,
     FrequencyGrid,
     NoSideLobeError,
@@ -20,7 +21,9 @@ from coprimearray import (
     unbiased_window,
     weight_closed_form,
     weight_oracle,
+    window_term_curves,
 )
+from coprimearray.errors import CHECK_RTOL
 
 GRID = FrequencyGrid(4096)
 
@@ -80,8 +83,22 @@ class TestDtftOracle:
         assert dtft_of_window(counts, GRID).at_zero() == pytest.approx(100.0)
 
     def test_asymmetric_counts_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConsistencyError):
             dtft_of_window({1: 1.0}, GRID)
+
+    def test_closed_forms_within_relative_bound_at_60_61(self):
+        # Absolute residuals grow with M*N (about 1.7e-9 at (40, 41)); the
+        # relative ones stay near 1e-13, well inside CHECK_RTOL.
+        pair, grid = CoprimePair(60, 61), FrequencyGrid(1024)
+        terms = window_term_curves(pair, RangeKind.FULL, grid)
+        term_sum = sum(curve.values for curve in terms.values())
+        biased = bias_biased(pair, RangeKind.FULL, grid)
+        peak = main_peak(pair, RangeKind.FULL)
+        assert np.max(np.abs(term_sum - biased.values)) <= CHECK_RTOL * peak
+        window = unbiased_window(pair, RangeKind.FULL)
+        oracle = dtft_of_window(window.indicator, grid)
+        unbiased = bias_unbiased(pair, RangeKind.FULL, grid)
+        assert np.max(np.abs(oracle.values - unbiased.values)) <= CHECK_RTOL * window.total()
 
 
 class TestUnbiasedBias:
