@@ -34,7 +34,7 @@ from .errors import (
 from .estimator import SignalModel, ToneComponent, average_correlogram, detect_peaks
 from .metrics import Scheme, complexity, variance_factor, variance_sweep
 from .pair import CoprimePair
-from .sets import RangeKind, SetKind, difference_set, dof
+from .sets import RangeKind, SetKind, difference_set, dof, sampler_positions
 from .spectra import (
     FrequencyGrid,
     bias_biased,
@@ -242,9 +242,9 @@ def _cmd_estimate(args):
     return [(stem, ["omega", "power"], rows)]
 
 
-def _prototype_dof_rows(M: int, N: int) -> list[list]:
-    positive = {M * n for n in range(N)}
-    second = {N * m for m in range(M)}
+def _prototype_dof_rows(pair: CoprimePair) -> list[list]:
+    M, N = pair.M, pair.N
+    positive, second = map(set, sampler_positions(pair, extended=False))
     cross = {M * n - N * m for n in range(N) for m in range(M)}
     union_self = positive | second | {-lag for lag in positive | second}
     union_cross = cross | {-lag for lag in cross}
@@ -292,7 +292,7 @@ def _cmd_tables(args):
                         f"set {kind.value}: closed-form dof {closed} != enumerated {enumerated}"
                     )
                 dof_rows.append([M, N, "extended", kind.value, closed])
-            dof_rows.extend(_prototype_dof_rows(M, N))
+            dof_rows.extend(_prototype_dof_rows(pair))
 
     def amplitude_rows(pairs):
         rows = []

@@ -20,11 +20,10 @@ from .errors import (
     NotEnoughPeaksError,
     NotFittedError,
     OutOfRangeError,
-    check_residual,
 )
 from .pair import CoprimePair
-from .sets import RangeKind, lag_limit, sampler_positions
-from .spectra import FrequencyGrid, SpectrumCurve
+from .sets import RangeKind, _distinct_positions, lag_limit
+from .spectra import FrequencyGrid, SpectrumCurve, _lag_transform, _strict_maxima
 from .validation import as_grid, as_pair, as_range_kind, check_positive_int, check_stream
 from .weights import weight_closed_form
 
@@ -164,8 +163,7 @@ class _PairStructure:
 def _structure(M: int, N: int, range_value: str) -> _PairStructure:
     pair = CoprimePair(M, N)
     range_kind = RangeKind(range_value)
-    first, second = sampler_positions(pair)
-    positions = np.array(sorted(set(first) | set(second)))
+    positions = np.array(_distinct_positions(pair))
     limit = lag_limit(pair, range_kind)
     left, right = np.nonzero(positions[:, None] - positions[None, :] >= 0)
     lags = positions[left] - positions[right]
@@ -277,24 +275,12 @@ def autocorrelation(
 def correlogram(estimate: AutocorrEstimate, grid: FrequencyGrid | int) -> SpectrumCurve:
     """Transform of the autocorrelation estimate on the frequency grid.
 
-    The grid omega_k = 2*pi*(k - G/2)/G is a G-point DFT grid, because
-    exp(-i*omega_k*l) = (-1)^l * exp(-2*pi*i*k*l/G).  So the lags fold
-    mod G with the sign (-1)^l, exactly for any lag range, and one FFT
-    evaluates the transform in O(lags + G log G).  Conjugate symmetry makes
-    the transform real; the imaginary residual is checked against the
-    relative bound of sum |values| (which bounds the transform) and
-    discarded.
+    The transform of ``spectra.dtft_of_window``: the lags fold mod G with
+    the sign (-1)^l and one FFT follows, in O(lags + G log G); the imaginary
+    residual is checked against sum |values| and discarded.
     """
     grid = as_grid(grid)
-    lags = estimate.lags
-    signed = np.where(lags % 2 == 0, estimate.values, -estimate.values)
-    folded_at = lags % grid.size
-    folded = (np.bincount(folded_at, signed.real, grid.size)
-              + 1j * np.bincount(folded_at, signed.imag, grid.size))
-    transform = np.fft.fft(folded)
-    residual = float(np.max(np.abs(transform.imag)))
-    check_residual("correlogram imaginary part", residual, float(np.sum(np.abs(estimate.values))))
-    return SpectrumCurve(grid, transform.real)
+    return _lag_transform(estimate.lags, estimate.values, grid, "correlogram")
 
 
 def average_correlogram(
@@ -333,8 +319,7 @@ def detect_peaks(curve: SpectrumCurve, count: int) -> list[tuple[float, float]]:
     """
     count = check_positive_int("count", count)
     values = curve.values
-    is_peak = (values > np.roll(values, 1)) & (values > np.roll(values, -1))
-    indices = np.nonzero(is_peak)[0]
+    indices = np.flatnonzero(_strict_maxima(values))
     if len(indices) < count:
         raise NotEnoughPeaksError(
             f"found {len(indices)} strict local maxima, needed {count}"

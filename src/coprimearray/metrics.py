@@ -9,7 +9,7 @@ from typing import Iterator
 
 from .errors import ConsistencyError, UnsupportedRegimeError
 from .pair import CoprimePair
-from .sets import RangeKind
+from .sets import RangeKind, _distinct_positions
 from .spectra import FrequencyGrid, SpectrumCurve, bias_biased, peak_value
 from .weights import weight_oracle
 
@@ -92,7 +92,7 @@ def prototype_weight_oracle(pair: CoprimePair) -> dict[int, int]:
     prototype-array cost formula, which this package does not otherwise
     model.
     """
-    positions = sorted({pair.M * n for n in range(pair.N)} | {pair.N * m for m in range(pair.M)})
+    positions = _distinct_positions(pair, extended=False)
     return dict(Counter(a - b for a in positions for b in positions))
 
 

@@ -99,17 +99,26 @@ class DifferenceSet:
         return len(self.lags)
 
 
-def sampler_positions(pair: CoprimePair) -> tuple[list[int], list[int]]:
+def sampler_positions(pair: CoprimePair, extended: bool = True) -> tuple[list[int], list[int]]:
     """Sample positions of the two streams over one snapshot.
 
     Returns ``({M*n : 0 <= n < N}, {N*m : 0 <= m < 2M})`` as sorted lists.
-    The origin belongs to both streams, so the union has 2M + N - 1
-    distinct positions.
+    With ``extended=False`` the second stream covers one co-prime period,
+    ``{N*m : 0 <= m < M}``: the prototype (single-period) array.  The
+    origin belongs to both streams, so the union has 2M + N - 1 distinct
+    positions (M + N - 1 for the prototype).
     """
+    periods = 2 if extended else 1
     return (
         [pair.M * n for n in range(pair.N)],
-        [pair.N * m for m in range(2 * pair.M)],
+        [pair.N * m for m in range(periods * pair.M)],
     )
+
+
+def _distinct_positions(pair: CoprimePair, extended: bool = True) -> list[int]:
+    """Sorted union of both streams' positions; the origin appears once."""
+    first, second = sampler_positions(pair, extended)
+    return sorted(set(first) | set(second))
 
 
 def _elementary_lags(pair: CoprimePair, kind: SetKind) -> Iterator[int]:

@@ -13,8 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NoSideLobeError, check_residual
-from .pair import CoprimePair
+from .errors import NoSideLobeError, OutOfRangeError, check_residual
+from .pair import CoprimePair, exact_int
 from .sets import RangeKind
 from .weights import weight_terms
 
@@ -22,23 +22,20 @@ from .weights import weight_terms
 #: relative-amplitude measurements this module exists for.
 MIN_GRID_SIZE = 1024
 
-#: Phase-matrix elements per block of the direct transform (64 MB); smaller
-#: blocks run measurably slower.
-_DTFT_BLOCK = 1 << 22
-
 
 class FrequencyGrid:
     """Uniform angular-frequency grid on [-pi, pi) containing 0 exactly.
 
-    The size must be even (so that 0 is a grid point) and at least
-    ``MIN_GRID_SIZE``.
+    The size must be an even integer (so that 0 is a grid point) and at
+    least ``MIN_GRID_SIZE``; anything else raises OutOfRangeError.
     """
 
     def __init__(self, size: int = 4096):
+        size = exact_int("grid size", size)
         if size < MIN_GRID_SIZE:
-            raise ValueError(f"grid size must be at least {MIN_GRID_SIZE}, got {size}")
+            raise OutOfRangeError(f"grid size must be at least {MIN_GRID_SIZE}, got {size}")
         if size % 2:
-            raise ValueError(f"grid size must be even so 0 is on the grid, got {size}")
+            raise OutOfRangeError(f"grid size must be even so 0 is on the grid, got {size}")
         self.size = size
         # (k - size/2) * step puts 0 at index size/2 with no rounding.
         self.points = (np.arange(size) - size // 2) * (2.0 * np.pi / size)
@@ -96,37 +93,48 @@ def dirichlet_ratio(count: int, theta: np.ndarray) -> np.ndarray:
     nearest = np.round(theta / np.pi)
     delta = theta - nearest * np.pi
     sign = np.where((nearest.astype(np.int64) * (count - 1)) % 2 == 0, 1.0, -1.0)
-    out = np.full(theta.shape, float(count))
     regular = delta != 0.0
-    out[regular] = np.sin(count * delta[regular]) / np.sin(delta[regular])
-    return sign * out
+    safe = np.where(regular, delta, 1.0)
+    return sign * np.where(regular, np.sin(count * safe) / np.sin(safe), float(count))
+
+
+def _half_angle(grid: FrequencyGrid, c: int) -> np.ndarray:
+    """omega * c / 2 on the grid as pi*j/G, with the integer j = (k - G/2)*c
+    reduced mod 2G in int64 first: one rounding, however large c grows."""
+    period = 2 * grid.size
+    offsets = np.arange(grid.size, dtype=np.int64) - grid.size // 2
+    return (offsets * (c % period)) % period * (np.pi / grid.size)
+
+
+def _lag_transform(lags: np.ndarray, values: np.ndarray, grid: FrequencyGrid, what: str) -> SpectrumCurve:
+    """``sum_l values[l] * exp(-i*omega*l)`` on the grid, for conjugate-symmetric values.
+
+    exp(-i*omega_k*l) = (-1)^l * exp(-2*pi*i*k*l/G), so the lags fold mod G
+    with the sign (-1)^l, exactly for any lag range, and one FFT evaluates
+    the transform.  Its imaginary part is checked against the relative
+    bound of sum |values|, which bounds the transform, and discarded.
+    """
+    signed = np.where(lags % 2 == 0, values, -values)
+    folded_at = lags % grid.size
+    folded = (np.bincount(folded_at, signed.real, grid.size)
+              + 1j * np.bincount(folded_at, signed.imag, grid.size))
+    transform = np.fft.fft(folded)
+    residual = float(np.max(np.abs(transform.imag)))
+    check_residual(f"{what} imaginary part", residual, float(np.sum(np.abs(values))))
+    return SpectrumCurve(grid, transform.real)
 
 
 def dtft_of_window(counts: Mapping[int, float], grid: FrequencyGrid) -> SpectrumCurve:
     """Direct transform of a symmetric lag window; the oracle for all closed forms.
 
-    Evaluates ``sum_l counts[l] * exp(-i*omega*l)`` block by block over the
-    grid, so memory stays bounded however many lags the window has, and
-    raises ConsistencyError unless the imaginary part (provably zero for
-    symmetric counts) stays within the relative check bound of
-    ``sum_l |counts[l]|``.
+    Evaluates ``sum_l counts[l] * exp(-i*omega*l)`` exactly on the G-point
+    grid by folding the lags mod G and one FFT, in O(lags + G log G), and
+    raises ConsistencyError if its imaginary part (zero for symmetric
+    counts) exceeds the relative check bound of ``sum_l |counts[l]|``.
     """
-    lags = np.array(sorted(counts), dtype=float)
-    values = np.array([counts[int(lag)] for lag in lags], dtype=float)
-    rows = max(1, _DTFT_BLOCK // max(1, len(lags)))
-    transform = np.concatenate([
-        np.exp(-1j * np.outer(grid.points[start:start + rows], lags)) @ values
-        for start in range(0, grid.size, rows)
-    ])
-    residual = float(np.max(np.abs(transform.imag)))
-    check_residual("window transform imaginary part", residual, float(np.sum(np.abs(values))))
-    return SpectrumCurve(grid, transform.real)
-
-
-def _self_n_truncation(pair: CoprimePair) -> int:
-    # floor((M-1)/N): extra whole N-spaced steps fitting inside the
-    # continuous range beyond one co-prime period.
-    return (pair.M - 1) // pair.N
+    lags = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+    values = np.fromiter(counts.values(), dtype=float, count=len(counts))
+    return _lag_transform(lags, values, grid, "window transform")
 
 
 def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid) -> SpectrumCurve:
@@ -136,28 +144,29 @@ def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid)
     full range adds the mirrored extension-cross contribution.
     """
     M, N = pair.M, pair.N
-    omega = grid.points
     if range_kind is not RangeKind.FULL:
         limit = pair.continuous_lag_limit if range_kind is RangeKind.CONTINUOUS else pair.prototype_lag_limit
-        return SpectrumCurve(grid, dirichlet_ratio(2 * limit + 1, omega / 2.0))
-    theta_m = omega * M / 2.0
-    theta_n = omega * N / 2.0
-    self_m = 2.0 * np.cos(omega * M * N / 2.0) * dirichlet_ratio(N - 1, theta_m)
-    self_n = 2.0 * np.cos(omega * M * N) * dirichlet_ratio(2 * M - 1, theta_n)
+        return SpectrumCurve(grid, dirichlet_ratio(2 * limit + 1, _half_angle(grid, 1)))
+    theta_m = _half_angle(grid, M)
+    theta_n = _half_angle(grid, N)
+    cos_mn = np.cos(_half_angle(grid, 2 * M * N))
+    self_m = 2.0 * np.cos(_half_angle(grid, M * N)) * dirichlet_ratio(N - 1, theta_m)
+    self_n = 2.0 * cos_mn * dirichlet_ratio(2 * M - 1, theta_n)
     cross = dirichlet_ratio(N - 1, theta_m) * dirichlet_ratio(M - 1, theta_n)
-    values = self_m + self_n + 1.0 + (1.0 + 2.0 * np.cos(omega * M * N)) * cross
+    values = self_m + self_n + 1.0 + (1.0 + 2.0 * cos_mn) * cross
     return SpectrumCurve(grid, values)
 
 
-def _ext_cross_transform(pair: CoprimePair, omega: np.ndarray, upper_limits: list[int]) -> np.ndarray:
+def _ext_cross_transform(pair: CoprimePair, grid: FrequencyGrid, upper_limits: list[int]) -> np.ndarray:
     """Transform of the extension-cross term for per-n upper index limits."""
     M, N = pair.M, pair.N
-    theta_n = omega * N / 2.0
-    total = np.zeros_like(omega)
+    theta_n = _half_angle(grid, N)
+    total = np.zeros(grid.size)
     for n in range(1, N):
         upper = upper_limits[n - 1]
-        center = M * n - M * N / 2.0 - N * (upper + 1) / 2.0
-        total += 2.0 * np.cos(omega * center) * dirichlet_ratio(upper - M, theta_n)
+        # Twice the centre M*n - M*N/2 - N*(upper + 1)/2 of the n-th run.
+        center2 = 2 * M * n - M * N - N * (upper + 1)
+        total += 2.0 * np.cos(_half_angle(grid, center2)) * dirichlet_ratio(upper - M, theta_n)
     return total
 
 
@@ -175,9 +184,8 @@ def bias_biased(
     if s_b <= 0:
         raise ValueError(f"s_b must be positive, got {s_b}")
     M, N = pair.M, pair.N
-    omega = grid.points
-    theta_m = omega * M / 2.0
-    theta_n = omega * N / 2.0
+    theta_m = _half_angle(grid, M)
+    theta_n = _half_angle(grid, N)
     self_m = dirichlet_ratio(N, theta_m) ** 2 + dirichlet_ratio(2 * N - 1, theta_m)
     base_cross = 2.0 * dirichlet_ratio(N - 1, theta_m) * dirichlet_ratio(M - 1, theta_n)
 
@@ -185,12 +193,13 @@ def bias_biased(
         # The full-range form groups the base and extension cross terms
         # into a single (1 + cos) factor.
         self_n = dirichlet_ratio(2 * M, theta_n) ** 2
-        cross = (1.0 + np.cos(omega * M * N)) * base_cross
+        cross = (1.0 + np.cos(_half_angle(grid, 2 * M * N))) * base_cross
         values = self_m + self_n + cross - 2.0
         return SpectrumCurve(grid, values / s_b)
 
     if range_kind is RangeKind.CONTINUOUS:
-        extra = _self_n_truncation(pair)
+        # Whole N-spaced steps of the continuous range beyond one co-prime period.
+        extra = (M - 1) // N
         self_n = (
             dirichlet_ratio(M + extra + 1, theta_n) ** 2
             + (M - extra - 1) * dirichlet_ratio(2 * M + 2 * extra + 1, theta_n)
@@ -200,7 +209,7 @@ def bias_biased(
         self_n = dirichlet_ratio(M, theta_n) ** 2 + M * dirichlet_ratio(2 * M - 1, theta_n)
         uppers = [(M * N + M * n - 1) // N for n in range(1, N)]
 
-    values = self_m + self_n + base_cross + _ext_cross_transform(pair, omega, uppers) - 2.0
+    values = self_m + self_n + base_cross + _ext_cross_transform(pair, grid, uppers) - 2.0
     return SpectrumCurve(grid, values / s_b)
 
 
@@ -240,13 +249,25 @@ def main_peak(pair: CoprimePair, range_kind: RangeKind) -> int:
     return peak_value(pair.M, pair.N, range_kind)
 
 
-def main_lobe_edge(curve: SpectrumCurve) -> int:
-    """Grid index of the first local minimum at or above omega = 0."""
+def _strict_maxima(values: np.ndarray) -> np.ndarray:
+    """Mask of the strict local maxima; neighbors wrap around at +-pi."""
+    return (values > np.roll(values, 1)) & (values > np.roll(values, -1))
+
+
+def _main_lobe(curve: SpectrumCurve) -> tuple[int, int]:
+    """Grid indices (left, right) where the descent from omega = 0 (through plateaus) ends."""
     values = curve.values
-    index = curve.grid.zero_index
-    while index < len(values) - 1 and values[index + 1] <= values[index]:
-        index += 1
-    return index
+    zero = curve.grid.zero_index
+    falls = np.flatnonzero(values[:zero] > values[1:zero + 1])
+    rises = np.flatnonzero(values[zero + 1:] > values[zero:-1])
+    left = int(falls[-1]) + 1 if len(falls) else 0
+    right = zero + int(rises[0]) if len(rises) else len(values) - 1
+    return left, right
+
+
+def main_lobe_edge(curve: SpectrumCurve) -> int:
+    """Grid index of the first local minimum at or above omega = 0 (plateaus are crossed)."""
+    return _main_lobe(curve)[1]
 
 
 def main_lobe_half_width(curve: SpectrumCurve) -> float:
@@ -257,28 +278,20 @@ def main_lobe_half_width(curve: SpectrumCurve) -> float:
 def side_lobe_peak(curve: SpectrumCurve) -> tuple[float, float]:
     """Largest strict local maximum on [-pi, 0] outside the main lobe.
 
-    The main lobe is the contiguous descent from omega = 0 down to the
-    first local minimum; a local maximum must strictly exceed both grid
-    neighbors (periodic at the -pi end).
+    The main lobe descends from omega = 0, through plateaus, to the first
+    local minimum.  A maximum strictly exceeds both grid neighbors
+    (periodic at -pi), as in ``detect_peaks``; ties go to the lowest index.
 
     Returns (omega, value); raises NoSideLobeError when no such maximum
     exists.
     """
     values = curve.values
-    zero = curve.grid.zero_index
-    # Descend the main lobe toward -pi; `edge` lands on its local minimum.
-    edge = zero
-    while edge > 0 and values[edge - 1] <= values[edge]:
-        edge -= 1
-    best_index = -1
-    for k in range(edge):
-        left = values[k - 1] if k > 0 else values[-1]
-        if values[k] > left and values[k] > values[k + 1]:
-            if best_index < 0 or values[k] > values[best_index]:
-                best_index = k
-    if best_index < 0:
+    left, _ = _main_lobe(curve)
+    candidates = np.flatnonzero(_strict_maxima(values)[:left])
+    if not len(candidates):
         raise NoSideLobeError("no strict local maximum outside the main lobe")
-    return float(curve.omega[best_index]), float(values[best_index])
+    best = candidates[np.argmax(values[candidates])]
+    return float(curve.omega[best]), float(values[best])
 
 
 def relative_amplitude(

@@ -34,10 +34,10 @@ def as_range_kind(value: RangeKind | str) -> RangeKind:
 
 
 def as_grid(value: FrequencyGrid | int) -> FrequencyGrid:
-    """Coerce a FrequencyGrid or a grid size."""
+    """Coerce a FrequencyGrid or an integer grid size; 4096.9 is rejected, not truncated."""
     if isinstance(value, FrequencyGrid):
         return value
-    return FrequencyGrid(int(value))
+    return FrequencyGrid(value)
 
 
 def check_stream(values: object) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import ConsistencyError, OutOfRangeError
 from .pair import CoprimePair
-from .sets import RangeKind, SetKind, difference_set, lag_limit, sampler_positions
+from .sets import RangeKind, SetKind, _distinct_positions, difference_set, lag_limit
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ def weight_oracle(pair: CoprimePair, range_kind: RangeKind) -> WeightFunction:
     2M + N - 1 distinct positions; the pair (origin, origin) is counted
     once.  Lags beyond the range limit are dropped.
     """
-    first, second = sampler_positions(pair)
-    positions = sorted(set(first) | set(second))
+    positions = _distinct_positions(pair)
     tally = Counter(a - b for a in positions for b in positions)
     return WeightFunction(pair, range_kind, _full_grid(pair, range_kind, tally))
 

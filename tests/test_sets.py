@@ -17,7 +17,7 @@ from coprimearray import (
     sampler_positions,
     verify_structure,
 )
-from coprimearray.sets import UNION_KINDS
+from coprimearray.sets import UNION_KINDS, _distinct_positions
 
 
 def coprime_pairs(limit):
@@ -72,6 +72,12 @@ class TestPositions:
         assert first == [0, 2, 4]
         assert second == [0, 3, 6, 9]
         assert len(set(first) | set(second)) == 6  # 2M + N - 1
+
+    def test_prototype_positions_4_3(self):
+        first, second = sampler_positions(CoprimePair(4, 3), extended=False)
+        assert first == [0, 4, 8]
+        assert second == [0, 3, 6, 9]
+        assert _distinct_positions(CoprimePair(4, 3), extended=False) == [0, 3, 4, 6, 8, 9]
 
     @pytest.mark.parametrize("pair", list(coprime_pairs(8)), ids=str)
     def test_origin_shared_and_union_size(self, pair):

@@ -8,10 +8,12 @@ from coprimearray import (
     CoprimePair,
     FrequencyGrid,
     NoSideLobeError,
+    OutOfRangeError,
     RangeKind,
     SpectrumCurve,
     bias_biased,
     bias_unbiased,
+    detect_peaks,
     dirichlet_ratio,
     dtft_of_window,
     main_lobe_half_width,
@@ -28,6 +30,18 @@ from coprimearray.errors import CHECK_RTOL
 GRID = FrequencyGrid(4096)
 
 
+def _dense_transform(counts, grid):
+    """sum_l counts[l] * exp(-i*omega_k*l) by the dense phase matrix.
+
+    The phase omega_k * l is formed as step * ((k - G/2) * l mod G), exact
+    in integers, so the reference carries no phase-rounding error.
+    """
+    lags = np.array(list(counts))
+    values = np.array([counts[lag] for lag in lags], dtype=float)
+    k = np.arange(grid.size) - grid.size // 2
+    return (np.exp(-1j * grid.step * (np.outer(k, lags) % grid.size)) @ values).real
+
+
 class TestFrequencyGrid:
     def test_contains_zero_exactly(self):
         grid = FrequencyGrid(2048)
@@ -40,7 +54,7 @@ class TestFrequencyGrid:
 
     @pytest.mark.parametrize("size", [512, 1023, 4095])
     def test_invalid_sizes(self, size):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError):
             FrequencyGrid(size)
 
 
@@ -82,6 +96,24 @@ class TestDtftOracle:
         counts = weight_closed_form(CoprimePair(4, 3), RangeKind.FULL).counts
         assert dtft_of_window(counts, GRID).at_zero() == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("M,N", [(4, 3), (3, 7), (8, 5), (14, 13)])
+    @pytest.mark.parametrize("range_kind", list(RangeKind))
+    def test_fft_matches_dense_transform(self, M, N, range_kind):
+        grid = FrequencyGrid(1024)
+        counts = weight_closed_form(CoprimePair(M, N), range_kind).counts
+        expected = _dense_transform(counts, grid)
+        scale = sum(abs(value) for value in counts.values())
+        assert np.max(np.abs(dtft_of_window(counts, grid).values - expected)) <= 1e-12 * scale
+
+    def test_lags_wider_than_grid_fold(self):
+        # |l| <= 2500 folds each lag up to five times onto a 1024-point grid.
+        grid, limit = FrequencyGrid(1024), 2500
+        half = np.random.default_rng(3).integers(0, 6, limit + 1)
+        counts = {lag: float(half[abs(lag)]) for lag in range(-limit, limit + 1)}
+        expected = _dense_transform(counts, grid)
+        scale = sum(counts.values())
+        assert np.max(np.abs(dtft_of_window(counts, grid).values - expected)) <= 1e-12 * scale
+
     def test_asymmetric_counts_rejected(self):
         with pytest.raises(ConsistencyError):
             dtft_of_window({1: 1.0}, GRID)
@@ -99,6 +131,18 @@ class TestDtftOracle:
         oracle = dtft_of_window(window.indicator, grid)
         unbiased = bias_unbiased(pair, RangeKind.FULL, grid)
         assert np.max(np.abs(oracle.values - unbiased.values)) <= CHECK_RTOL * window.total()
+
+    def test_closed_form_phases_exact_at_1000_1001(self):
+        # Phases formed as floating-point omega * M * N carry an error of
+        # about M*N*eps rad; here that alone put the closed form 6.6e-11 of
+        # the main peak away from its terms, beyond CHECK_RTOL.  Integer
+        # phase reduction leaves about 2e-13.  At G = 1024 the error hides.
+        pair, grid = CoprimePair(1000, 1001), FrequencyGrid(4096)
+        terms = window_term_curves(pair, RangeKind.FULL, grid)
+        term_sum = sum(curve.values for curve in terms.values())
+        biased = bias_biased(pair, RangeKind.FULL, grid)
+        peak = main_peak(pair, RangeKind.FULL)
+        assert np.max(np.abs(term_sum - biased.values)) <= CHECK_RTOL * peak
 
 
 class TestUnbiasedBias:
@@ -183,6 +227,59 @@ class TestSideLobePeak:
         curve = SpectrumCurve(GRID, np.ones(GRID.size))
         with pytest.raises(NoSideLobeError):
             side_lobe_peak(curve)
+
+    @pytest.mark.parametrize("wrap_value,side_index", [(0.0, 0), (6.0, 200)])
+    def test_hand_built_curve(self, wrap_value, side_index):
+        # G = 1024 puts omega = 0 at index 512.  Left of it the main lobe
+        # descends through the plateau 511..509 to its minimum at 507.
+        # Outside it: a near lobe at 506 (3), a plateau at 400..401 (4.5, no
+        # strict maximum), equal maxima at 200 and 300 (4, the lowest index
+        # wins), and 5 at index 0, a strict maximum only if its wrapped left
+        # neighbor (index 1023, omega near +pi) is lower.  Right of zero the
+        # lobe crosses the plateau 513..514 and ends at 515.
+        grid = FrequencyGrid(1024)
+        values = np.zeros(grid.size)
+        values[505:517] = [0.0, 3.0, 1.0, 2.0, 5.0, 5.0, 5.0, 10.0, 7.0, 7.0, 0.5, 2.0]
+        values[[400, 401]] = 4.5
+        values[[200, 300]] = 4.0
+        values[0] = 5.0
+        values[800] = 9.0
+        values[-1] = wrap_value
+        curve = SpectrumCurve(grid, values)
+        assert side_lobe_peak(curve) == (grid.points[side_index], values[side_index])
+        assert main_lobe_half_width(curve) == grid.points[515]
+        expected = [512, 800, 0, 200] if wrap_value == 0.0 else [512, 800, 1023, 200]
+        assert detect_peaks(curve, 4) == [(grid.points[i], values[i]) for i in expected]
+
+    def test_matches_loop_reference_on_tie_heavy_curves(self):
+        # Integer random walks are full of plateaus and equal maxima.
+        def loop_reference(values, zero):
+            right = zero
+            while right < len(values) - 1 and values[right + 1] <= values[right]:
+                right += 1
+            left = zero
+            while left > 0 and values[left - 1] <= values[left]:
+                left -= 1
+            best = None
+            for k in range(left):
+                # values[-1] is the wrapped neighbor of index 0.
+                if values[k] > values[k - 1] and values[k] > values[k + 1]:
+                    if best is None or values[k] > values[best]:
+                        best = k
+            return right, best
+
+        grid = FrequencyGrid(1024)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            values = np.cumsum(rng.integers(-1, 2, grid.size)).astype(float)
+            curve = SpectrumCurve(grid, values)
+            right, best = loop_reference(values, grid.zero_index)
+            assert main_lobe_half_width(curve) == grid.points[right]
+            if best is None:
+                with pytest.raises(NoSideLobeError):
+                    side_lobe_peak(curve)
+            else:
+                assert side_lobe_peak(curve) == (grid.points[best], values[best])
 
     def test_full_biased_4_3_relative_amplitude(self):
         report = relative_amplitude(CoprimePair(4, 3), RangeKind.FULL)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from coprimearray import CoprimeCorrelogram, CoprimePair, OutOfRangeError
-from coprimearray.validation import as_pair, check_positive_int
+from coprimearray import CoprimeCorrelogram, CoprimePair, FrequencyGrid, OutOfRangeError
+from coprimearray.validation import as_grid, as_pair, check_positive_int
 
 
 class TestCheckPositiveInt:
@@ -37,3 +37,19 @@ class TestAsPair:
     def test_fractional_factor_rejected(self):
         with pytest.raises(OutOfRangeError):
             as_pair((3.5, 7))
+
+
+class TestAsGrid:
+    @pytest.mark.parametrize("value", [4096, np.int64(4096)])
+    def test_integers_accepted(self, value):
+        assert as_grid(value) == FrequencyGrid(4096)
+
+    @pytest.mark.parametrize("value", [4096.9, 4096.0, "4096", True])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(OutOfRangeError):
+            as_grid(value)
+
+    def test_fractional_grid_size_rejected_by_fit(self):
+        stream = np.ones(CoprimePair(3, 7).period * 2, dtype=complex)
+        with pytest.raises(OutOfRangeError):
+            CoprimeCorrelogram(3, 7, grid_size=4096.9).fit(stream)
