@@ -21,7 +21,7 @@ from .errors import (
     NotFittedError,
     OutOfRangeError,
 )
-from .pair import CoprimePair
+from .pair import CoprimePair, finite_positive
 from .sets import RangeKind, _distinct_positions, lag_limit
 from .spectra import FrequencyGrid, SpectrumCurve, _lag_transform, _strict_maxima
 from .validation import as_grid, as_pair, as_range_kind, check_positive_int, check_stream
@@ -228,8 +228,7 @@ def _lag_estimate(
     if normalization == "biased":
         if s_b is None:
             s_b = float(pair.sample_count)
-        if s_b <= 0:
-            raise OutOfRangeError(f"s_b must be positive, got {s_b}")
+        s_b = finite_positive("s_b", s_b)
         forward /= s_b * snapshots
     else:
         s_b = None

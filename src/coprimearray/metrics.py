@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ConsistencyError, UnsupportedRegimeError
-from .pair import CoprimePair
-from .sets import RangeKind, _distinct_positions
+from .pair import CoprimePair, finite_positive
+from .sets import RangeKind, _distinct_positions, lag_limit
 from .spectra import FrequencyGrid, SpectrumCurve, bias_biased, peak_value
-from .weights import weight_oracle
+from .weights import _difference_counts
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,7 @@ def variance_factor(
     """
     if s_b is None:
         s_b = float(pair.sample_count)
-    if s_b <= 0:
-        raise ValueError(f"s_b must be positive, got {s_b}")
+    s_b = finite_positive("s_b", s_b)
     factor = peak_value(pair.M, pair.N, range_kind) / (s_b * s_b)
     return VarianceReport(pair, range_kind, s_b, factor)
 
@@ -80,6 +80,7 @@ def covariance_curve(
         raise ValueError(f"noise power must be non-negative, got {sigma2}")
     if s_b is None:
         s_b = float(pair.sample_count)
+    s_b = finite_positive("s_b", s_b)
     window = bias_biased(pair, range_kind, grid, s_b=1.0)
     scale = sigma2 * sigma2 / (s_b * s_b)
     return SpectrumCurve(grid, window.values * scale)
@@ -93,13 +94,15 @@ def prototype_weight_oracle(pair: CoprimePair) -> dict[int, int]:
     model.
     """
     positions = _distinct_positions(pair, extended=False)
-    return dict(Counter(a - b for a in positions for b in positions))
+    span = positions[-1]
+    tally = _difference_counts(positions, span).tolist()
+    return {lag: count for lag, count in zip(range(-span, span + 1), tally) if count}
 
 
-def _cost_from_weights(counts: dict[int, int], limit: int) -> tuple[int, int]:
-    multiplications = sum(counts.get(lag, 0) for lag in range(limit + 1))
-    achievable = sum(1 for lag in range(limit + 1) if counts.get(lag, 0) >= 1)
-    return multiplications, multiplications - achievable
+def _cost_from_weights(counts: np.ndarray) -> tuple[int, int]:
+    """Multiplications and additions from the pair counts at lags 0 ... limit."""
+    multiplications = int(counts.sum())
+    return multiplications, multiplications - int(np.count_nonzero(counts))
 
 
 def _closed_form_cost(pair: CoprimePair, scheme: Scheme) -> tuple[int, int]:
@@ -136,7 +139,7 @@ def complexity(pair: CoprimePair, scheme: Scheme) -> ComplexityReport:
                 "prototype-continuous cost counts require M > N "
                 f"(got M={pair.M}, N={pair.N})"
             )
-        counts = prototype_weight_oracle(pair)
+        positions = _distinct_positions(pair, extended=False)
         limit = pair.M + pair.N - 1
     else:
         range_kind = {
@@ -144,11 +147,10 @@ def complexity(pair: CoprimePair, scheme: Scheme) -> ComplexityReport:
             Scheme.EXTENDED_CONTINUOUS: RangeKind.CONTINUOUS,
             Scheme.EXTENDED_PROTOTYPE: RangeKind.PROTOTYPE,
         }[scheme]
-        oracle = weight_oracle(pair, range_kind)
-        counts = dict(oracle.counts)
-        limit = oracle.lag_limit()
+        positions = _distinct_positions(pair)
+        limit = lag_limit(pair, range_kind)
     mult, add = _closed_form_cost(pair, scheme)
-    oracle_mult, oracle_add = _cost_from_weights(counts, limit)
+    oracle_mult, oracle_add = _cost_from_weights(_difference_counts(positions, limit)[limit:])
     if (mult, add) != (oracle_mult, oracle_add):
         raise ConsistencyError(
             f"{scheme.value} cost formula gives ({mult}, {add}) but the "

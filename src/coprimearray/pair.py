@@ -1,5 +1,7 @@
 """Validated co-prime undersampling pair and its derived constants."""
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from math import gcd
@@ -20,6 +22,16 @@ def exact_int(name: str, value: object) -> int:
         return operator.index(value)
     except TypeError:
         raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def finite_positive(name: str, value: object) -> float:
+    """`value` as a float: bools, non-real values, nan, inf, zero and negatives raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise OutOfRangeError(f"{name} must be finite and positive, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

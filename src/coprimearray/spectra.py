@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NoSideLobeError, OutOfRangeError, check_residual
-from .pair import CoprimePair, exact_int
+from .pair import CoprimePair, exact_int, finite_positive
 from .sets import RangeKind
 from .weights import weight_terms
 
@@ -98,12 +98,58 @@ def dirichlet_ratio(count: int, theta: np.ndarray) -> np.ndarray:
     return sign * np.where(regular, np.sin(count * safe) / np.sin(safe), float(count))
 
 
-def _half_angle(grid: FrequencyGrid, c: int) -> np.ndarray:
-    """omega * c / 2 on the grid as pi*j/G, with the integer j = (k - G/2)*c
-    reduced mod 2G in int64 first: one rounding, however large c grows."""
-    period = 2 * grid.size
-    offsets = np.arange(grid.size, dtype=np.int64) - grid.size // 2
-    return (offsets * (c % period)) % period * (np.pi / grid.size)
+class _HalfGrid:
+    """Closed-form window evaluation on the half grid, with exact integer phases.
+
+    On the grid, omega_k*c/2 = pi*j/G for the integer j = ((k - G/2)*c) mod
+    2G, formed in int64 with c reduced mod 2G first, so no angle is rounded
+    however large c grows.  Every sine and cosine is read from one table of
+    sin(pi*i/G), i in [0, 2G), built from a single np.sin over the first
+    quadrant and reflected: it is zero exactly at i = 0 and i = G, keeps
+    full relative precision beside them, and is exactly odd about both.
+    The windows have symmetric lag counts and so are even in omega; they
+    are evaluated at k = G/2 ... G, where k = G stands for omega = -pi, and
+    mirrored.  The table lives for one call.
+    """
+
+    def __init__(self, grid: FrequencyGrid):
+        size = grid.size
+        self.grid = grid
+        self.period = 2 * size
+        self.offsets = np.arange(size // 2 + 1, dtype=np.int64)
+        quadrant = np.sin(np.arange(size // 2 + 1) * (np.pi / size))
+        table = np.empty(self.period)
+        table[:size // 2 + 1] = quadrant
+        table[size // 2:size + 1] = quadrant[::-1]
+        table[size + 1:] = -table[1:size]
+        self.table = table
+
+    def phase(self, c: int) -> np.ndarray:
+        """The integer j of omega*c/2 = pi*j/G at each half-grid point."""
+        return self.offsets * (c % self.period) % self.period
+
+    def cos(self, c: int) -> np.ndarray:
+        """cos(omega*c/2) = sin(pi*(j + G/2)/G)."""
+        return self.table[(self.offsets * (c % self.period) + self.grid.size // 2) % self.period]
+
+    def dirichlet(self, count: int, j: np.ndarray) -> np.ndarray:
+        """sin(count*theta)/sin(theta) at theta = pi*j/G, for integer count >= 0.
+
+        Where sin(theta) = 0 (j = 0 or G) the value is the exact limit
+        count*(-1)**((j//G)*(count - 1)).
+        """
+        numerator = self.table[(count % self.period) * j % self.period]
+        denominator = self.table[j]
+        singular = np.flatnonzero(denominator == 0.0)
+        denominator[singular] = 1.0
+        ratio = numerator / denominator
+        flips = (j[singular] // self.grid.size) * (count - 1) % 2
+        ratio[singular] = np.where(flips == 1, -float(count), float(count))
+        return ratio
+
+    def curve(self, half: np.ndarray) -> SpectrumCurve:
+        """The even curve on the whole grid from its values at k = G/2 ... G."""
+        return SpectrumCurve(self.grid, np.concatenate((half[:0:-1], half[:-1])))
 
 
 def _lag_transform(lags: np.ndarray, values: np.ndarray, grid: FrequencyGrid, what: str) -> SpectrumCurve:
@@ -141,32 +187,36 @@ def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid)
     """Transform of the 0/1 availability window, in closed form.
 
     The continuous and prototype ranges give a plain Dirichlet kernel; the
-    full range adds the mirrored extension-cross contribution.
+    full range adds the mirrored extension-cross contribution.  Evaluated
+    with exact integer phases and one sine table on half the grid, then
+    mirrored, so the curve is exactly even.
     """
     M, N = pair.M, pair.N
+    half = _HalfGrid(grid)
     if range_kind is not RangeKind.FULL:
         limit = pair.continuous_lag_limit if range_kind is RangeKind.CONTINUOUS else pair.prototype_lag_limit
-        return SpectrumCurve(grid, dirichlet_ratio(2 * limit + 1, _half_angle(grid, 1)))
-    theta_m = _half_angle(grid, M)
-    theta_n = _half_angle(grid, N)
-    cos_mn = np.cos(_half_angle(grid, 2 * M * N))
-    self_m = 2.0 * np.cos(_half_angle(grid, M * N)) * dirichlet_ratio(N - 1, theta_m)
-    self_n = 2.0 * cos_mn * dirichlet_ratio(2 * M - 1, theta_n)
-    cross = dirichlet_ratio(N - 1, theta_m) * dirichlet_ratio(M - 1, theta_n)
+        return half.curve(half.dirichlet(2 * limit + 1, half.phase(1)))
+    j_m = half.phase(M)
+    j_n = half.phase(N)
+    cos_mn = half.cos(2 * M * N)
+    self_m = 2.0 * half.cos(M * N) * half.dirichlet(N - 1, j_m)
+    self_n = 2.0 * cos_mn * half.dirichlet(2 * M - 1, j_n)
+    cross = half.dirichlet(N - 1, j_m) * half.dirichlet(M - 1, j_n)
     values = self_m + self_n + 1.0 + (1.0 + 2.0 * cos_mn) * cross
-    return SpectrumCurve(grid, values)
+    return half.curve(values)
 
 
-def _ext_cross_transform(pair: CoprimePair, grid: FrequencyGrid, upper_limits: list[int]) -> np.ndarray:
-    """Transform of the extension-cross term for per-n upper index limits."""
+def _ext_cross_transform(
+    pair: CoprimePair, half: _HalfGrid, j_n: np.ndarray, upper_limits: list[int]
+) -> np.ndarray:
+    """Transform of the extension-cross term for per-n upper index limits, on the half grid."""
     M, N = pair.M, pair.N
-    theta_n = _half_angle(grid, N)
-    total = np.zeros(grid.size)
+    total = np.zeros(len(j_n))
     for n in range(1, N):
         upper = upper_limits[n - 1]
         # Twice the centre M*n - M*N/2 - N*(upper + 1)/2 of the n-th run.
         center2 = 2 * M * n - M * N - N * (upper + 1)
-        total += 2.0 * np.cos(_half_angle(grid, center2)) * dirichlet_ratio(upper - M, theta_n)
+        total += 2.0 * half.cos(center2) * half.dirichlet(upper - M, j_n)
     return total
 
 
@@ -179,38 +229,43 @@ def bias_biased(
     """Transform of the pair-count weight window, in closed form, over s_b.
 
     With ``s_b = 1`` this is the raw weight transform used for bias-shape
-    analysis; the estimator normalizes with ``s_b = 2M + N - 1``.
+    analysis; the estimator normalizes with ``s_b = 2M + N - 1``, and any
+    ``s_b`` that is not finite and positive raises OutOfRangeError.  Every
+    term is evaluated with exact integer phases from one sine table on half
+    the grid, O((N + terms)*G/2) gathers and no per-term sine, and mirrored:
+    the curve is exactly even, and at s_b = 1 its value at omega = 0 equals
+    ``main_peak`` exactly.
     """
-    if s_b <= 0:
-        raise ValueError(f"s_b must be positive, got {s_b}")
+    s_b = finite_positive("s_b", s_b)
     M, N = pair.M, pair.N
-    theta_m = _half_angle(grid, M)
-    theta_n = _half_angle(grid, N)
-    self_m = dirichlet_ratio(N, theta_m) ** 2 + dirichlet_ratio(2 * N - 1, theta_m)
-    base_cross = 2.0 * dirichlet_ratio(N - 1, theta_m) * dirichlet_ratio(M - 1, theta_n)
+    half = _HalfGrid(grid)
+    j_m = half.phase(M)
+    j_n = half.phase(N)
+    self_m = half.dirichlet(N, j_m) ** 2 + half.dirichlet(2 * N - 1, j_m)
+    base_cross = 2.0 * half.dirichlet(N - 1, j_m) * half.dirichlet(M - 1, j_n)
 
     if range_kind is RangeKind.FULL:
         # The full-range form groups the base and extension cross terms
         # into a single (1 + cos) factor.
-        self_n = dirichlet_ratio(2 * M, theta_n) ** 2
-        cross = (1.0 + np.cos(_half_angle(grid, 2 * M * N))) * base_cross
+        self_n = half.dirichlet(2 * M, j_n) ** 2
+        cross = (1.0 + half.cos(2 * M * N)) * base_cross
         values = self_m + self_n + cross - 2.0
-        return SpectrumCurve(grid, values / s_b)
+        return half.curve(values / s_b)
 
     if range_kind is RangeKind.CONTINUOUS:
         # Whole N-spaced steps of the continuous range beyond one co-prime period.
         extra = (M - 1) // N
         self_n = (
-            dirichlet_ratio(M + extra + 1, theta_n) ** 2
-            + (M - extra - 1) * dirichlet_ratio(2 * M + 2 * extra + 1, theta_n)
+            half.dirichlet(M + extra + 1, j_n) ** 2
+            + (M - extra - 1) * half.dirichlet(2 * M + 2 * extra + 1, j_n)
         )
         uppers = [(M * N + M + M * n - 1) // N for n in range(1, N)]
     else:
-        self_n = dirichlet_ratio(M, theta_n) ** 2 + M * dirichlet_ratio(2 * M - 1, theta_n)
+        self_n = half.dirichlet(M, j_n) ** 2 + M * half.dirichlet(2 * M - 1, j_n)
         uppers = [(M * N + M * n - 1) // N for n in range(1, N)]
 
-    values = self_m + self_n + base_cross + _ext_cross_transform(pair, grid, uppers) - 2.0
-    return SpectrumCurve(grid, values / s_b)
+    values = self_m + self_n + base_cross + _ext_cross_transform(pair, half, j_n, uppers) - 2.0
+    return half.curve(values / s_b)
 
 
 def peak_value(M: int, N: int, range_kind: RangeKind) -> int:
@@ -302,9 +357,13 @@ def relative_amplitude(
 ) -> PeakReport:
     """Relative amplitude (P_m - P_s) / P_m of the biased window.
 
-    Invariant to ``s_b`` since both peaks scale identically.  Grid sizes of
-    at least 8192 are needed before the third decimal is trustworthy; the
-    default uses 16384.
+    P_m is the exact integer ``main_peak``, which the closed form also
+    takes at omega = 0; P_s is the largest side-lobe maximum of
+    ``bias_biased`` on [-pi, 0], and since that curve is exactly even the
+    positive half holds the same lobes.  Invariant to ``s_b``, which must
+    be finite and positive, since both peaks scale identically.  Grid sizes
+    of at least 8192 are needed before the third decimal is trustworthy;
+    the default uses 16384.
     """
     if grid is None:
         grid = FrequencyGrid(16384)

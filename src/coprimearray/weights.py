@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ConsistencyError, OutOfRangeError
 from .pair import CoprimePair
 from .sets import RangeKind, SetKind, _distinct_positions, difference_set, lag_limit
@@ -66,6 +68,17 @@ def _full_grid(pair: CoprimePair, range_kind: RangeKind, counts: Mapping[int, in
     return {lag: counts.get(lag, 0) for lag in range(-limit, limit + 1)}
 
 
+def _difference_counts(positions: list[int], limit: int) -> np.ndarray:
+    """Ordered position pairs per difference l in [-limit, limit], at index l + limit.
+
+    The brute-force pair enumeration behind the weight oracles: the full
+    matrix of position differences, tallied with one bincount.
+    """
+    points = np.asarray(positions, dtype=np.int64)
+    shifted = np.subtract.outer(points + limit, points).ravel()
+    return np.bincount(shifted[(shifted >= 0) & (shifted <= 2 * limit)], minlength=2 * limit + 1)
+
+
 def weight_oracle(pair: CoprimePair, range_kind: RangeKind) -> WeightFunction:
     """Brute-force weight function: tally every ordered physical-sample pair.
 
@@ -73,9 +86,9 @@ def weight_oracle(pair: CoprimePair, range_kind: RangeKind) -> WeightFunction:
     2M + N - 1 distinct positions; the pair (origin, origin) is counted
     once.  Lags beyond the range limit are dropped.
     """
-    positions = _distinct_positions(pair)
-    tally = Counter(a - b for a in positions for b in positions)
-    return WeightFunction(pair, range_kind, _full_grid(pair, range_kind, tally))
+    limit = lag_limit(pair, range_kind)
+    tally = _difference_counts(_distinct_positions(pair), limit)
+    return WeightFunction(pair, range_kind, dict(zip(range(-limit, limit + 1), tally.tolist())))
 
 
 def _ext_cross_index_pairs(pair: CoprimePair, range_kind: RangeKind) -> list[tuple[int, int]]:

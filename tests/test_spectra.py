@@ -39,7 +39,11 @@ def _dense_transform(counts, grid):
     lags = np.array(list(counts))
     values = np.array([counts[lag] for lag in lags], dtype=float)
     k = np.arange(grid.size) - grid.size // 2
-    return (np.exp(-1j * grid.step * (np.outer(k, lags) % grid.size)) @ values).real
+    # Blocks of 1024 frequencies bound the phase matrix's memory.
+    return np.concatenate([
+        (np.exp(-1j * grid.step * (np.outer(rows, lags) % grid.size)) @ values).real
+        for rows in np.split(k, range(1024, grid.size, 1024))
+    ])
 
 
 class TestFrequencyGrid:
@@ -134,15 +138,42 @@ class TestDtftOracle:
 
     def test_closed_form_phases_exact_at_1000_1001(self):
         # Phases formed as floating-point omega * M * N carry an error of
-        # about M*N*eps rad; here that alone put the closed form 6.6e-11 of
-        # the main peak away from its terms, beyond CHECK_RTOL.  Integer
-        # phase reduction leaves about 2e-13.  At G = 1024 the error hides.
+        # about M*N*eps rad, which put the closed form 6.6e-11 of the main
+        # peak away from its terms.  Integer phases with sin(pi*j/G) taken
+        # as a float of pi*j/G left 1.7e-13: its relative error grows as j
+        # nears G.  The sine table leaves about 3e-17.
         pair, grid = CoprimePair(1000, 1001), FrequencyGrid(4096)
         terms = window_term_curves(pair, RangeKind.FULL, grid)
         term_sum = sum(curve.values for curve in terms.values())
         biased = bias_biased(pair, RangeKind.FULL, grid)
         peak = main_peak(pair, RangeKind.FULL)
-        assert np.max(np.abs(term_sum - biased.values)) <= CHECK_RTOL * peak
+        assert np.max(np.abs(term_sum - biased.values)) <= 1e-14 * peak
+
+    @pytest.mark.parametrize("range_kind", list(RangeKind))
+    def test_closed_form_within_1e_14_at_100_101(self, range_kind):
+        # Sines of float angles near pi lose relative precision; this was
+        # 1.3e-14 to 1.9e-14 of the main peak with them, about 2e-16 now.
+        pair, grid = CoprimePair(100, 101), FrequencyGrid(16384)
+        terms = window_term_curves(pair, range_kind, grid)
+        term_sum = sum(curve.values for curve in terms.values())
+        biased = bias_biased(pair, range_kind, grid)
+        assert np.max(np.abs(term_sum - biased.values)) <= 1e-14 * main_peak(pair, range_kind)
+
+    @pytest.mark.parametrize("size", [1024, 4098, 16384])
+    @pytest.mark.parametrize("M,N", [(3, 4), (9, 8), (6, 7), (14, 13)])
+    def test_closed_forms_at_singular_points(self, M, N, size):
+        # Factors that share divisors with G put sin(omega*c/2) = 0 at
+        # interior grid points, where the Dirichlet ratios take their limits.
+        pair, grid = CoprimePair(M, N), FrequencyGrid(size)
+        for range_kind in RangeKind:
+            counts = weight_oracle(pair, range_kind).counts
+            expected = _dense_transform(counts, grid)
+            closed = bias_biased(pair, range_kind, grid).values
+            assert np.max(np.abs(closed - expected)) <= 1e-12 * main_peak(pair, range_kind)
+            indicator = unbiased_window(pair, range_kind).indicator
+            expected = _dense_transform(indicator, grid)
+            closed = bias_unbiased(pair, range_kind, grid).values
+            assert np.max(np.abs(closed - expected)) <= 1e-12 * sum(indicator.values())
 
 
 class TestUnbiasedBias:
@@ -188,8 +219,25 @@ class TestBiasedBias:
         mirrored = curve.values[1:][::-1]
         assert np.max(np.abs(curve.values[1:] - mirrored)) < 1e-9
 
+    def test_exact_peak_and_symmetry(self):
+        from math import gcd
+
+        grid = FrequencyGrid(4096)
+        zero = grid.zero_index
+        for M in range(2, 16):
+            for N in range(2, 16):
+                if gcd(M, N) != 1:
+                    continue
+                pair = CoprimePair(M, N)
+                for range_kind in RangeKind:
+                    curve = bias_biased(pair, range_kind, grid)
+                    assert curve.at_zero() == main_peak(pair, range_kind)
+                    for window in (curve, bias_unbiased(pair, range_kind, grid)):
+                        values = window.values
+                        assert np.array_equal(values[zero + 1:], values[zero - 1:0:-1])
+
     def test_s_b_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError):
             bias_biased(CoprimePair(4, 3), RangeKind.FULL, GRID, s_b=0.0)
 
 

@@ -3,8 +3,23 @@
 import numpy as np
 import pytest
 
-from coprimearray import CoprimeCorrelogram, CoprimePair, FrequencyGrid, OutOfRangeError
+from coprimearray import (
+    CoprimeCorrelogram,
+    CoprimePair,
+    FrequencyGrid,
+    OutOfRangeError,
+    RangeKind,
+    autocorrelation,
+    bias_biased,
+    covariance_curve,
+    relative_amplitude,
+    sample_snapshot,
+    variance_factor,
+)
 from coprimearray.validation import as_grid, as_pair, check_positive_int
+
+PAIR = CoprimePair(4, 3)
+STREAM = np.ones(PAIR.period, dtype=complex)
 
 
 class TestCheckPositiveInt:
@@ -53,3 +68,28 @@ class TestAsGrid:
         stream = np.ones(CoprimePair(3, 7).period * 2, dtype=complex)
         with pytest.raises(OutOfRangeError):
             CoprimeCorrelogram(3, 7, grid_size=4096.9).fit(stream)
+
+
+class TestNormalizationConstant:
+    """s_b must be finite and positive wherever it enters."""
+
+    ENTRY_POINTS = {
+        "bias_biased": lambda s_b: bias_biased(PAIR, RangeKind.FULL, FrequencyGrid(1024), s_b=s_b),
+        "relative_amplitude": lambda s_b: relative_amplitude(
+            PAIR, RangeKind.FULL, FrequencyGrid(1024), s_b=s_b),
+        "variance_factor": lambda s_b: variance_factor(PAIR, RangeKind.FULL, s_b),
+        "covariance_curve": lambda s_b: covariance_curve(PAIR, RangeKind.FULL, FrequencyGrid(1024), 1.0, s_b),
+        "autocorrelation": lambda s_b: autocorrelation(sample_snapshot(STREAM, PAIR, 0), PAIR, s_b=s_b),
+        "fit": lambda s_b: CoprimeCorrelogram(4, 3, snapshots=1, s_b=s_b, grid_size=1024).fit(STREAM),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("s_b", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 0, True, "2"])
+    def test_invalid_rejected(self, entry, s_b):
+        with pytest.raises(OutOfRangeError):
+            self.ENTRY_POINTS[entry](s_b)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("s_b", [2.5, 10, np.float64(2.5), np.int64(10)])
+    def test_finite_positive_accepted(self, entry, s_b):
+        self.ENTRY_POINTS[entry](s_b)
