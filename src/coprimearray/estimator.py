@@ -21,9 +21,18 @@ from .errors import (
     NotFittedError,
     OutOfRangeError,
 )
-from .pair import CoprimePair, finite_positive
+from .pair import CoprimePair, exact_int, finite_nonnegative, finite_positive, finite_real
 from .sets import RangeKind, _distinct_positions, lag_limit
-from .spectra import FrequencyGrid, SpectrumCurve, _lag_transform, _strict_maxima
+from .spectra import (
+    FrequencyGrid,
+    SpectrumCurve,
+    _bin,
+    _fold,
+    _grid_transform,
+    _lag_transform,
+    _part_index,
+    _strict_maxima,
+)
 from .validation import as_grid, as_pair, as_range_kind, check_positive_int, check_stream
 from .weights import weight_closed_form
 
@@ -41,12 +50,13 @@ class ToneComponent:
     phase: float | None = None
 
     def __post_init__(self) -> None:
-        if not -np.pi < self.frequency <= np.pi:
+        if not -np.pi < finite_real("tone frequency", self.frequency) <= np.pi:
             raise OutOfRangeError(
                 f"tone frequency must lie in (-pi, pi], got {self.frequency}"
             )
-        if self.amplitude <= 0:
-            raise OutOfRangeError(f"tone amplitude must be positive, got {self.amplitude}")
+        finite_positive("tone amplitude", self.amplitude)
+        if self.phase is not None:
+            finite_real("tone phase", self.phase)
 
 
 @dataclass(frozen=True)
@@ -68,9 +78,8 @@ class SignalModel:
         frequencies = [tone.frequency for tone in self.tones]
         if len(set(frequencies)) != len(frequencies):
             raise OutOfRangeError("tone frequencies must be distinct")
-        if self.noise_power < 0:
-            raise OutOfRangeError(f"noise power must be non-negative, got {self.noise_power}")
-        if self.seed < 0:
+        finite_nonnegative("noise power", self.noise_power)
+        if exact_int("seed", self.seed) < 0:
             raise OutOfRangeError(f"seed must be non-negative, got {self.seed}")
 
 
@@ -97,7 +106,7 @@ def generate_signal(model: SignalModel, length: int, realization: int = 0) -> np
     stream.
     """
     length = check_positive_int("length", length)
-    if realization < 0:
+    if exact_int("realization", realization) < 0:
         raise OutOfRangeError(f"realization must be non-negative, got {realization}")
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(model.seed, spawn_key=(realization,)))
@@ -151,12 +160,22 @@ def sample_snapshot(stream: np.ndarray, pair: CoprimePair, snapshot_index: int) 
 
 @dataclass(frozen=True, eq=False)
 class _PairStructure:
+    """Sampler positions and the table of ordered sample pairs within the lag range.
+
+    Pair p is the row-major Gram entry ``flat[p]``, or entry p itself when
+    ``flat`` is None because every pair is in range (the full range).
+    ``part_index`` bins pair p at its signed lag plus ``limit``
+    (``spectra._part_index``), and ``inverse_weights`` holds 1/w(|l|) at
+    each lag l + limit, zero at full-range holes: the unbiased scaling.
+    ``signs`` is (-1)^position for each sample.
+    """
+
     positions: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    lags: np.ndarray
+    signs: np.ndarray
+    flat: np.ndarray | None
+    part_index: np.ndarray
+    inverse_weights: np.ndarray
     limit: int
-    weights: np.ndarray  # pair count per non-negative lag
 
 
 @lru_cache(maxsize=32)
@@ -165,15 +184,22 @@ def _structure(M: int, N: int, range_value: str) -> _PairStructure:
     range_kind = RangeKind(range_value)
     positions = np.array(_distinct_positions(pair))
     limit = lag_limit(pair, range_kind)
-    left, right = np.nonzero(positions[:, None] - positions[None, :] >= 0)
-    lags = positions[left] - positions[right]
-    keep = lags <= limit
-    left, right, lags = left[keep], right[keep], lags[keep]
-    weights = np.bincount(lags, minlength=limit + 1)
+    differences = (positions[:, None] - positions[None, :]).ravel()
+    flat = np.flatnonzero(np.abs(differences) <= limit)
+    counts = np.bincount(differences[flat] + limit, minlength=2 * limit + 1)
     expected = weight_closed_form(pair, range_kind)
-    if any(int(weights[lag]) != expected[lag] for lag in range(limit + 1)):
+    if any(int(counts[limit + lag]) != expected[lag] for lag in range(limit + 1)):
         raise ConsistencyError(f"pair tally of {pair} disagrees with the weight function")
-    return _PairStructure(positions, left, right, lags, limit, weights)
+    inverse_weights = np.zeros(len(counts))
+    np.divide(1.0, counts, out=inverse_weights, where=counts > 0)
+    return _PairStructure(
+        positions,
+        np.where(positions % 2 == 0, 1.0, -1.0),
+        None if len(flat) == len(differences) else flat,
+        _part_index(differences[flat] + limit),
+        inverse_weights,
+        limit,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,53 +226,91 @@ class AutocorrEstimate:
         return complex(self.values[lag + limit])
 
 
-def _lag_estimate(
-    samples: np.ndarray,
-    pair: CoprimePair,
-    range_kind: RangeKind,
-    normalization: str,
-    s_b: float | None,
-) -> AutocorrEstimate:
-    """Autocorrelation averaged over the rows of `samples` (L x 2M+N-1).
+#: OpenBLAS 0.3.31 hands a complex matrix product of m x k by k x n
+#: to its thread pool once m*n*k reaches 65536: on 2 vCPUs, 64x8 by 8x128
+#: ran on two threads and 63x8 by 8x130 on one.  At the sizes of a fit the
+#: hand-off costs more than it saves.  With the (40, 41) Gram at L = 8
+#: (120x8 by 8x120) as one product, the second thread spun for 0.4-0.5 ms
+#: of CPU per fit, longer than the whole fit, and the 99.9th percentile of
+#: a fit rose from 0.8-2.0 to 1.6-8.8 ms (3000 fits, 2 vCPUs).  So the Gram
+#: is formed in row blocks below this size.
+_SINGLE_THREAD_MACS = 65_536
 
-    The Gram matrix of the retained samples sums every pair product over
-    the snapshots in O(L * (2M+N-1)^2); the pairs within the lag range are
-    then reduced to lags and normalized once.
+
+def _gram_blocks(size: int, depth: int) -> list[slice]:
+    """Row blocks of a size x size Gram over `depth` snapshots, each below _SINGLE_THREAD_MACS.
+
+    When one row alone reaches the threshold no block can stay below it,
+    smaller blocks would only add calls, and one block covers every row.
     """
+    rows = (_SINGLE_THREAD_MACS - 1) // (size * depth)
+    if rows == 0:
+        return [slice(0, size)]
+    blocks = -(-size // rows)
+    rows = -(-size // blocks)
+    return [slice(start, min(start + rows, size)) for start in range(0, size, rows)]
+
+
+def _gram(samples: np.ndarray) -> np.ndarray:
+    """Gram matrix sum_s x[s, i] * conj(x[s, j]) of the rows of `samples` (L x P).
+
+    Written block by block into one array (``_gram_blocks``), so every
+    product stays single-threaded where that is possible.
+    """
+    depth, size = samples.shape
+    left = samples.T
+    right = samples.conj()
+    gram = np.empty((size, size), dtype=np.complex128)
+    for rows in _gram_blocks(size, depth):
+        np.matmul(left[rows], right, out=gram[rows])
+    return gram
+
+
+def _normalization_constant(pair: CoprimePair, normalization: str, s_b: float | None) -> float | None:
+    """The validated s_b of a biased estimate (default 2M + N - 1), or None when unbiased."""
     if normalization not in ("biased", "unbiased"):
         raise OutOfRangeError(f"normalization must be 'biased' or 'unbiased', got {normalization!r}")
-    structure = _structure(pair.M, pair.N, range_kind.value)
-    snapshots = len(samples)
-    products = (samples.T @ samples.conj())[structure.left, structure.right]
-    size = structure.limit + 1
-    forward = (np.bincount(structure.lags, products.real, size)
-               + 1j * np.bincount(structure.lags, products.imag, size))
-    # The zero lag sums |x|^2 terms; drop the rounding residue fused complex
-    # multiplies leave in its imaginary part so the estimate is exactly real
-    # there and conjugate symmetry is exact.
-    forward[0] = forward[0].real
-    if normalization == "biased":
-        if s_b is None:
-            s_b = float(pair.sample_count)
-        s_b = finite_positive("s_b", s_b)
-        forward /= s_b * snapshots
+    if normalization == "unbiased":
+        return None
+    return float(pair.sample_count) if s_b is None else finite_positive("s_b", s_b)
+
+
+def _lag_sums(samples: np.ndarray, structure: _PairStructure, s_b: float | None) -> np.ndarray:
+    """Normalized autocorrelation sums at lags -limit ... limit over the rows of `samples` (L x P).
+
+    One Gram matrix sums every pair product over the snapshots in
+    O(L * P^2); one bincount reduces the in-range ordered pairs, both signs
+    of lag, to their lags; one scaling divides by s_b*L (biased) or by
+    w(|l|)*L (unbiased).
+    """
+    products = _gram(samples).ravel()
+    if structure.flat is not None:
+        products = products[structure.flat]
+    sums = _bin(structure.part_index, products, len(structure.inverse_weights))
+    if s_b is None:
+        sums *= structure.inverse_weights
+        sums /= len(samples)
     else:
-        s_b = None
-        achievable = structure.weights > 0
-        forward[achievable] /= structure.weights[achievable] * snapshots
-    values = np.concatenate((np.conj(forward[:0:-1]), forward))
-    lags = np.arange(-structure.limit, structure.limit + 1)
-    return AutocorrEstimate(pair, range_kind, normalization, s_b, lags, values, snapshots)
+        sums /= s_b * len(samples)
+    return sums
 
 
 def _snapshot_correlogram(
     stream: np.ndarray, pair: CoprimePair, snapshots: int, range_kind: RangeKind,
     grid: FrequencyGrid, normalization: str, s_b: float | None,
 ) -> SpectrumCurve:
-    """Correlogram of the autocorrelation averaged over the first `snapshots` snapshots."""
-    positions = _structure(pair.M, pair.N, range_kind.value).positions
-    samples = stream[: snapshots * pair.period].reshape(snapshots, pair.period)[:, positions]
-    return correlogram(_lag_estimate(samples, pair, range_kind, normalization, s_b), grid)
+    """Correlogram of the autocorrelation averaged over the first `snapshots` snapshots.
+
+    The sampled columns are multiplied by (-1)^position, so each Gram entry
+    already carries the (-1)^lag of the transform (``spectra._lag_transform``);
+    the lag sums then fold onto the G frequency bins and one FFT follows.
+    """
+    s_b = _normalization_constant(pair, normalization, s_b)
+    structure = _structure(pair.M, pair.N, range_kind.value)
+    samples = stream[: snapshots * pair.period].reshape(snapshots, pair.period)[:, structure.positions]
+    samples *= structure.signs
+    sums = _lag_sums(samples, structure, s_b)
+    return _grid_transform(_fold(sums, -structure.limit, grid.size), grid, "correlogram")
 
 
 def autocorrelation(
@@ -258,17 +322,25 @@ def autocorrelation(
 ) -> AutocorrEstimate:
     """Estimate the autocorrelation of one snapshot over the lag range.
 
-    For each non-negative lag, sums x(i) * conj(x(j)) over the ordered
-    sample pairs with i - j = lag (their count equals the weight function),
-    then divides by ``s_b`` (biased; default 2M + N - 1) or by the per-lag
-    pair count (unbiased), and mirrors conjugate values to negative lags.
+    For each lag l in [-limit, limit], sums x(i) * conj(x(j)) over the
+    ordered sample pairs with i - j = l (their count is the weight
+    function at |l|), divides by ``s_b`` (biased; default 2M + N - 1) or
+    by the pair count (unbiased), and takes the exact Hermitian mean of
+    each lag and its mirror, so conjugate symmetry holds bit for bit.
     Full-range holes stay zero.
     """
     pair = as_pair(pair)
     range_kind = as_range_kind(range_kind)
-    if len(data.values) != len(_structure(pair.M, pair.N, range_kind.value).positions):
+    structure = _structure(pair.M, pair.N, range_kind.value)
+    if len(data.values) != len(structure.positions):
         raise OutOfRangeError("snapshot does not match the pair's sampler positions")
-    return _lag_estimate(data.values[None, :], pair, range_kind, normalization, s_b)
+    s_b = _normalization_constant(pair, normalization, s_b)
+    sums = _lag_sums(data.values[None, :], structure, s_b)
+    # The exact Hermitian mean of each lag and its mirror: conjugate
+    # symmetry then holds bit for bit and the zero lag is exactly real.
+    values = (sums + np.conj(sums[::-1])) / 2
+    lags = np.arange(-structure.limit, structure.limit + 1)
+    return AutocorrEstimate(pair, range_kind, normalization, s_b, lags, values)
 
 
 def correlogram(estimate: AutocorrEstimate, grid: FrequencyGrid | int) -> SpectrumCurve:
@@ -276,7 +348,9 @@ def correlogram(estimate: AutocorrEstimate, grid: FrequencyGrid | int) -> Spectr
 
     The transform of ``spectra.dtft_of_window``: the lags fold mod G with
     the sign (-1)^l and one FFT follows, in O(lags + G log G); the imaginary
-    residual is checked against sum |values| and discarded.
+    residual is checked against the folded values' absolute sum, at most
+    sum |values|, and discarded.  ``fit`` and ``average_correlogram`` do not
+    build an estimate: their kernel folds the lag sums of the Gram directly.
     """
     grid = as_grid(grid)
     return _lag_transform(estimate.lags, estimate.values, grid, "correlogram")
@@ -296,7 +370,10 @@ def average_correlogram(
 
     By linearity this is the correlogram of the snapshot-averaged
     autocorrelation, which one batched kernel computes: the Gram matrix of
-    all retained samples, a reduction of its pairs to lags, then one fold
+    all retained samples, each multiplied by (-1)^position so that every
+    pair product carries the transform's (-1)^lag, formed in row blocks
+    that keep each BLAS product single-threaded; one bincount of the
+    in-range ordered pairs to their lags; one normalization; then one fold
     mod G and one FFT, O(L * (2M+N-1)^2 + G log G) in all.  The result is a
     deterministic function of the model seed.
     """
@@ -323,7 +400,14 @@ def detect_peaks(curve: SpectrumCurve, count: int) -> list[tuple[float, float]]:
         raise NotEnoughPeaksError(
             f"found {len(indices)} strict local maxima, needed {count}"
         )
-    order = indices[np.argsort(-values[indices], kind="stable")][:count]
+    candidates = values[indices]
+    if count < len(indices):
+        # Keep every maximum at or above the count-th largest value, ties
+        # included, so the stable sort below still breaks them by index.
+        threshold = np.partition(candidates, len(candidates) - count)[len(candidates) - count]
+        indices = indices[candidates >= threshold]
+        candidates = values[indices]
+    order = indices[np.argsort(-candidates, kind="stable")][:count]
     return [(float(curve.omega[i]), float(values[i])) for i in order]
 
 
@@ -334,7 +418,9 @@ class CoprimeCorrelogram:
     ``get_params``/``set_params``; ``fit`` consumes a Nyquist-rate complex
     sample stream and exposes the averaged spectrum as fitted attributes.
     ``fit`` runs the batched kernel of ``average_correlogram`` once over all
-    snapshots; memory does not grow with G times the number of lags.
+    snapshots: a blocked, single-threaded Gram of the sign-carrying samples,
+    one bincount of the in-range ordered pairs to lags, one fold mod G and
+    one FFT.  Memory does not grow with G times the number of lags.
 
     Parameters
     ----------

@@ -9,7 +9,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConsistencyError, UnsupportedRegimeError
-from .pair import CoprimePair, finite_positive
+from .pair import CoprimePair, finite_nonnegative, finite_positive
 from .sets import RangeKind, _distinct_positions, lag_limit
 from .spectra import FrequencyGrid, SpectrumCurve, bias_biased, peak_value
 from .weights import _difference_counts
@@ -76,8 +76,7 @@ def covariance_curve(
     sigma^4 / s_b^2; the window's own 1/s_b is held at 1 so the scale is
     applied exactly once.
     """
-    if sigma2 < 0:
-        raise ValueError(f"noise power must be non-negative, got {sigma2}")
+    sigma2 = finite_nonnegative("sigma2", sigma2)
     if s_b is None:
         s_b = float(pair.sample_count)
     s_b = finite_positive("s_b", s_b)

@@ -24,13 +24,29 @@ def exact_int(name: str, value: object) -> int:
         raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def finite_positive(name: str, value: object) -> float:
-    """`value` as a float: bools, non-real values, nan, inf, zero and negatives raise."""
+def finite_real(name: str, value: object) -> float:
+    """`value` as a float: bools, non-real values, nan and inf raise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
     number = float(value)
-    if not (math.isfinite(number) and number > 0):
+    if not math.isfinite(number):
+        raise OutOfRangeError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def finite_positive(name: str, value: object) -> float:
+    """`value` as a float: bools, non-real values, nan, inf, zero and negatives raise."""
+    number = finite_real(name, value)
+    if not number > 0:
         raise OutOfRangeError(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
+def finite_nonnegative(name: str, value: object) -> float:
+    """`value` as a float: bools, non-real values, nan, inf and negatives raise."""
+    number = finite_real(name, value)
+    if number < 0:
+        raise OutOfRangeError(f"{name} must be finite and non-negative, got {value!r}")
     return number
 
 

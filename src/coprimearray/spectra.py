@@ -152,22 +152,55 @@ class _HalfGrid:
         return SpectrumCurve(self.grid, np.concatenate((half[:0:-1], half[:-1])))
 
 
+def _part_index(bins: np.ndarray) -> np.ndarray:
+    """Bins of the real and imaginary parts of complex values headed for `bins`.
+
+    A complex array is its real and imaginary parts interleaved in memory;
+    value p's parts go to 2*bins[p] and 2*bins[p] + 1 of ``_bin``.
+    """
+    index = np.empty((len(bins), 2), dtype=np.int64)
+    np.multiply(bins, 2, out=index[:, 0])
+    np.add(index[:, 0], 1, out=index[:, 1])
+    return index.ravel()
+
+
+def _bin(part_index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex `values` summed into `size` bins by one bincount (``_part_index``)."""
+    parts = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    return np.bincount(part_index, parts, 2 * size).view(np.complex128)
+
+
+def _fold(binned: np.ndarray, low: int, size: int) -> np.ndarray:
+    """A lag sequence, ``binned[b]`` at lag low + b, summed into `size` bins at its lags mod size."""
+    start = low % size
+    padded = np.zeros(-(-(start + len(binned)) // size) * size, dtype=np.complex128)
+    padded[start:start + len(binned)] = binned
+    return padded.reshape(-1, size).sum(axis=0)
+
+
+def _grid_transform(folded: np.ndarray, grid: FrequencyGrid, what: str) -> SpectrumCurve:
+    """The real curve ``sum_m folded[m] * exp(-2*pi*i*k*m/G)``, by one FFT.
+
+    `folded` is a conjugate-symmetric lag sequence folded onto the G bins
+    with the sign (-1)^l, so the transform is real; its imaginary part is
+    checked against the relative bound of sum |folded|, which bounds the
+    transform, and discarded.
+    """
+    transform = np.fft.fft(folded)
+    residual = float(np.max(np.abs(transform.imag)))
+    check_residual(f"{what} imaginary part", residual, float(np.sum(np.abs(folded))))
+    return SpectrumCurve(grid, transform.real)
+
+
 def _lag_transform(lags: np.ndarray, values: np.ndarray, grid: FrequencyGrid, what: str) -> SpectrumCurve:
     """``sum_l values[l] * exp(-i*omega*l)`` on the grid, for conjugate-symmetric values.
 
     exp(-i*omega_k*l) = (-1)^l * exp(-2*pi*i*k*l/G), so the lags fold mod G
     with the sign (-1)^l, exactly for any lag range, and one FFT evaluates
-    the transform.  Its imaginary part is checked against the relative
-    bound of sum |values|, which bounds the transform, and discarded.
+    the transform.
     """
     signed = np.where(lags % 2 == 0, values, -values)
-    folded_at = lags % grid.size
-    folded = (np.bincount(folded_at, signed.real, grid.size)
-              + 1j * np.bincount(folded_at, signed.imag, grid.size))
-    transform = np.fft.fft(folded)
-    residual = float(np.max(np.abs(transform.imag)))
-    check_residual(f"{what} imaginary part", residual, float(np.sum(np.abs(values))))
-    return SpectrumCurve(grid, transform.real)
+    return _grid_transform(_bin(_part_index(lags % grid.size), signed, grid.size), grid, what)
 
 
 def dtft_of_window(counts: Mapping[int, float], grid: FrequencyGrid) -> SpectrumCurve:
@@ -176,7 +209,8 @@ def dtft_of_window(counts: Mapping[int, float], grid: FrequencyGrid) -> Spectrum
     Evaluates ``sum_l counts[l] * exp(-i*omega*l)`` exactly on the G-point
     grid by folding the lags mod G and one FFT, in O(lags + G log G), and
     raises ConsistencyError if its imaginary part (zero for symmetric
-    counts) exceeds the relative check bound of ``sum_l |counts[l]|``.
+    counts) exceeds the relative check bound of the folded counts' absolute
+    sum, which is at most ``sum_l |counts[l]|``.
     """
     lags = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     values = np.fromiter(counts.values(), dtype=float, count=len(counts))
@@ -306,7 +340,13 @@ def main_peak(pair: CoprimePair, range_kind: RangeKind) -> int:
 
 def _strict_maxima(values: np.ndarray) -> np.ndarray:
     """Mask of the strict local maxima; neighbors wrap around at +-pi."""
-    return (values > np.roll(values, 1)) & (values > np.roll(values, -1))
+    mask = np.empty(len(values), dtype=bool)
+    inner = values[1:-1]
+    np.greater(inner, values[:-2], out=mask[1:-1])
+    mask[1:-1] &= inner > values[2:]
+    mask[0] = values[0] > values[-1] and values[0] > values[1]
+    mask[-1] = values[-1] > values[-2] and values[-1] > values[0]
+    return mask
 
 
 def _main_lobe(curve: SpectrumCurve) -> tuple[int, int]:

@@ -45,8 +45,10 @@ def check_stream(values: object) -> np.ndarray:
     stream = np.asarray(values)
     if stream.ndim != 1:
         raise OutOfRangeError(f"sample stream must be one-dimensional, got shape {stream.shape}")
-    stream = stream.astype(np.complex128, copy=False)
-    if stream.size and not np.all(np.isfinite(stream.real) & np.isfinite(stream.imag)):
+    stream = np.ascontiguousarray(stream, dtype=np.complex128)
+    # A contiguous complex array is its real and imaginary parts
+    # interleaved, so one pass over the float view checks both.
+    if not np.isfinite(stream.view(np.float64)).all():
         raise OutOfRangeError("sample stream contains non-finite values")
     return stream
 

@@ -1,9 +1,12 @@
 """Snapshot sampling, autocorrelation, correlogram, and the estimator class."""
 
+import resource
+
 import numpy as np
 import pytest
 
 from coprimearray import (
+    ConsistencyError,
     CoprimeCorrelogram,
     CoprimePair,
     FrequencyGrid,
@@ -27,6 +30,7 @@ from coprimearray import (
     tones,
     weight_oracle,
 )
+from coprimearray.estimator import _SINGLE_THREAD_MACS, _gram, _gram_blocks, _structure
 
 PAIR = CoprimePair(4, 3)
 GRID = FrequencyGrid(1024)
@@ -247,6 +251,62 @@ class TestAverageCorrelogram:
             samples[count] = curves.var(axis=0, ddof=1).mean()
         ratio = samples[10] / samples[100]
         assert 5.0 <= ratio <= 20.0
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize("M,N,snapshots", [(40, 41, 8), (100, 101, 2)])
+    def test_blocked_gram_equals_one_product(self, M, N, snapshots):
+        pair = CoprimePair(M, N)
+        positions = _structure(M, N, "full").positions
+        stream = generate_signal(TestAverageCorrelogram.MODEL, pair.period * snapshots)
+        samples = stream.reshape(snapshots, pair.period)[:, positions]
+        assert len(_gram_blocks(len(positions), snapshots)) > 1
+        expected = samples.T @ samples.conj()
+        assert np.max(np.abs(_gram(samples) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("M,N,snapshots", [(3, 7, 64), (14, 13, 32), (40, 41, 8), (100, 101, 2)])
+    def test_blocks_stay_single_threaded(self, M, N, snapshots):
+        size = CoprimePair(M, N).sample_count
+        blocks = _gram_blocks(size, snapshots)
+        assert [block.start for block in blocks] == [0] + [block.stop for block in blocks[:-1]]
+        assert blocks[-1].stop == size
+        for block in blocks:
+            rows = block.stop - block.start
+            assert 0 < rows and rows * size * snapshots < _SINGLE_THREAD_MACS
+
+    def test_one_block_when_a_row_reaches_the_threshold(self):
+        assert _gram_blocks(120, _SINGLE_THREAD_MACS // 120 + 1) == [slice(0, 120)]
+
+    @pytest.mark.parametrize("normalization", ["biased", "unbiased"])
+    @pytest.mark.parametrize("range_kind", list(RangeKind))
+    def test_no_false_consistency_error_at_100_101(self, range_kind, normalization):
+        pair = CoprimePair(100, 101)
+        stream = generate_signal(TestAverageCorrelogram.MODEL, pair.period)
+        estimator = CoprimeCorrelogram(
+            100, 101, snapshots=1, lag_range=range_kind.value, normalization=normalization,
+        )
+        try:
+            estimator.fit(stream)
+        except ConsistencyError as exc:
+            pytest.fail(f"false ConsistencyError: {exc}")
+        assert np.all(np.isfinite(estimator.spectrum_))
+
+    @pytest.mark.parametrize("M,N,snapshots", [(3, 7, 64), (14, 13, 32), (40, 41, 8)])
+    def test_steady_state_fit_takes_no_page_faults(self, M, N, snapshots):
+        # A steady-state fit reuses heap memory; fresh pages on every fit
+        # would show as minor faults.
+        pair = CoprimePair(M, N)
+        streams = [generate_signal(TestAverageCorrelogram.MODEL, pair.period * snapshots, r)
+                   for r in range(4)]
+        estimator = CoprimeCorrelogram(M, N, snapshots=snapshots)
+        for index in range(50):
+            estimator.fit(streams[index % 4]).peaks(1)
+        fits = 200
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for index in range(fits):
+            estimator.fit(streams[index % 4]).peaks(1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / fits < 1.0
 
 
 class TestDetectPeaks:

@@ -26,6 +26,7 @@ from coprimearray import (
     window_term_curves,
 )
 from coprimearray.errors import CHECK_RTOL
+from coprimearray.spectra import _strict_maxima
 
 GRID = FrequencyGrid(4096)
 
@@ -328,6 +329,27 @@ class TestSideLobePeak:
                     side_lobe_peak(curve)
             else:
                 assert side_lobe_peak(curve) == (grid.points[best], values[best])
+
+    def test_peak_selection_matches_full_sort_on_tie_heavy_curves(self):
+        # The mask and the selection of detect_peaks against their previous
+        # forms: two np.roll copies, and a stable sort of every maximum.
+        def maxima_reference(values):
+            return (values > np.roll(values, 1)) & (values > np.roll(values, -1))
+
+        def peaks_reference(curve, count):
+            indices = np.flatnonzero(maxima_reference(curve.values))
+            order = indices[np.argsort(-curve.values[indices], kind="stable")][:count]
+            return [(float(curve.omega[i]), float(curve.values[i])) for i in order]
+
+        grid = FrequencyGrid(1024)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            values = np.cumsum(rng.integers(-1, 2, grid.size)).astype(float)
+            curve = SpectrumCurve(grid, values)
+            mask = maxima_reference(values)
+            assert np.array_equal(_strict_maxima(values), mask)
+            for count in (1, 2, 3, 7, int(mask.sum())):
+                assert detect_peaks(curve, count) == peaks_reference(curve, count)
 
     def test_full_biased_4_3_relative_amplitude(self):
         report = relative_amplitude(CoprimePair(4, 3), RangeKind.FULL)

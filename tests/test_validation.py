@@ -9,14 +9,18 @@ from coprimearray import (
     FrequencyGrid,
     OutOfRangeError,
     RangeKind,
+    SignalModel,
+    ToneComponent,
     autocorrelation,
     bias_biased,
     covariance_curve,
+    generate_signal,
     relative_amplitude,
     sample_snapshot,
     variance_factor,
 )
-from coprimearray.validation import as_grid, as_pair, check_positive_int
+from coprimearray.cli import main
+from coprimearray.validation import as_grid, as_pair, check_positive_int, check_stream
 
 PAIR = CoprimePair(4, 3)
 STREAM = np.ones(PAIR.period, dtype=complex)
@@ -93,3 +97,85 @@ class TestNormalizationConstant:
     @pytest.mark.parametrize("s_b", [2.5, 10, np.float64(2.5), np.int64(10)])
     def test_finite_positive_accepted(self, entry, s_b):
         self.ENTRY_POINTS[entry](s_b)
+
+
+class TestCheckStream:
+    @pytest.mark.parametrize("bad", [complex(1.0, float("nan")), complex(float("inf"), 0.0),
+                                     complex(float("-inf"), 2.0), complex(float("nan"), float("nan"))])
+    def test_non_finite_part_rejected(self, bad):
+        stream = np.ones(8, dtype=complex)
+        stream[5] = bad
+        with pytest.raises(OutOfRangeError):
+            check_stream(stream)
+
+    def test_non_finite_in_strided_view_rejected(self):
+        stream = np.ones(16, dtype=complex)
+        stream[6] = complex(0.0, float("nan"))
+        with pytest.raises(OutOfRangeError):
+            check_stream(stream[::2])
+
+    @pytest.mark.parametrize("values", [np.arange(6), np.arange(6, dtype=np.complex64) * (1 - 2j),
+                                        np.arange(12, dtype=complex)[::2]])
+    def test_finite_streams_become_complex128(self, values):
+        stream = check_stream(values)
+        assert stream.dtype == np.complex128
+        assert np.array_equal(stream, np.asarray(values, dtype=np.complex128))
+
+    def test_complex64_non_finite_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            check_stream(np.array([1.0, complex(2.0, float("inf"))], dtype=np.complex64))
+
+
+class TestSignalParameters:
+    """Signal and noise parameters that cannot describe a signal raise OutOfRangeError."""
+
+    NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+    @pytest.mark.parametrize("noise_power", NON_FINITE + [-1.0, True, "0.1"])
+    def test_noise_power_rejected(self, noise_power):
+        with pytest.raises(OutOfRangeError):
+            SignalModel(noise_power=noise_power)
+
+    @pytest.mark.parametrize("noise_power", [0, 0.0, 0.1, np.float64(2.0)])
+    def test_noise_power_accepted(self, noise_power):
+        SignalModel(noise_power=noise_power)
+
+    @pytest.mark.parametrize("amplitude", NON_FINITE + [0.0, -1.0])
+    def test_amplitude_rejected(self, amplitude):
+        with pytest.raises(OutOfRangeError):
+            ToneComponent(0.5, amplitude=amplitude)
+
+    @pytest.mark.parametrize("phase", NON_FINITE)
+    def test_fixed_phase_must_be_finite(self, phase):
+        with pytest.raises(OutOfRangeError):
+            ToneComponent(0.5, phase=phase)
+
+    @pytest.mark.parametrize("frequency", [float("nan"), 4.0, "0.5"])
+    def test_frequency_rejected(self, frequency):
+        with pytest.raises(OutOfRangeError):
+            ToneComponent(frequency)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, -1])
+    def test_seed_rejected(self, seed):
+        with pytest.raises(OutOfRangeError):
+            SignalModel(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        model = SignalModel(noise_power=1.0, seed=np.int64(3))
+        assert np.array_equal(generate_signal(model, 16), generate_signal(SignalModel(noise_power=1.0, seed=3), 16))
+
+    @pytest.mark.parametrize("realization", [1.5, True, -1])
+    def test_realization_rejected(self, realization):
+        with pytest.raises(OutOfRangeError):
+            generate_signal(SignalModel(), 16, realization)
+
+    @pytest.mark.parametrize("sigma2", NON_FINITE + [-1.0, True])
+    def test_covariance_noise_power_rejected(self, sigma2):
+        with pytest.raises(OutOfRangeError):
+            covariance_curve(PAIR, RangeKind.FULL, FrequencyGrid(1024), sigma2)
+
+    @pytest.mark.parametrize("noise", ["inf", "nan", "-1"])
+    def test_cli_noise_is_config_error(self, noise, tmp_path, capsys):
+        argv = ["estimate", "--snapshots", "2", "--noise", noise, "-o", str(tmp_path / "e.csv")]
+        assert main(argv) == 2
+        assert "OutOfRangeError" in capsys.readouterr().err
