@@ -33,7 +33,14 @@ from .spectra import (
     _part_index,
     _strict_maxima,
 )
-from .validation import as_grid, as_pair, as_range_kind, check_positive_int, check_stream
+from .validation import (
+    _one_dimensional,
+    as_grid,
+    as_pair,
+    as_range_kind,
+    check_positive_int,
+    check_stream,
+)
 from .weights import weight_closed_form
 
 
@@ -142,10 +149,15 @@ class SnapshotData:
 def sample_snapshot(stream: np.ndarray, pair: CoprimePair, snapshot_index: int) -> SnapshotData:
     """Retain the co-prime sample positions of snapshot `snapshot_index`.
 
-    The stream must cover Nyquist indices up to 2MN*(snapshot_index + 1).
+    The stream must be one-dimensional and cover Nyquist indices up to
+    2MN*(snapshot_index + 1); only the snapshot's own 2MN samples are
+    checked for finiteness, so reading snapshots one at a time stays linear
+    in the stream length.  The index must be a non-negative integer; bools
+    and non-integral values raise OutOfRangeError.
     """
     pair = as_pair(pair)
-    stream = check_stream(stream)
+    stream = _one_dimensional(stream)
+    snapshot_index = exact_int("snapshot index", snapshot_index)
     if snapshot_index < 0:
         raise OutOfRangeError(f"snapshot index must be non-negative, got {snapshot_index}")
     start = pair.period * snapshot_index
@@ -155,7 +167,7 @@ def sample_snapshot(stream: np.ndarray, pair: CoprimePair, snapshot_index: int) 
             f"snapshot {snapshot_index} needs {end} samples, stream has {len(stream)}"
         )
     positions = _structure(pair.M, pair.N, RangeKind.FULL.value).positions
-    return SnapshotData(snapshot_index, positions, stream[start + positions])
+    return SnapshotData(snapshot_index, positions, check_stream(stream[start:end])[positions])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +199,9 @@ def _structure(M: int, N: int, range_value: str) -> _PairStructure:
     differences = (positions[:, None] - positions[None, :]).ravel()
     flat = np.flatnonzero(np.abs(differences) <= limit)
     counts = np.bincount(differences[flat] + limit, minlength=2 * limit + 1)
-    expected = weight_closed_form(pair, range_kind)
-    if any(int(counts[limit + lag]) != expected[lag] for lag in range(limit + 1)):
+    # The closed form's counts run over every lag in [-limit, limit], in order.
+    expected = weight_closed_form(pair, range_kind).counts
+    if not np.array_equal(counts, np.fromiter(expected.values(), dtype=np.int64, count=len(expected))):
         raise ConsistencyError(f"pair tally of {pair} disagrees with the weight function")
     inverse_weights = np.zeros(len(counts))
     np.divide(1.0, counts, out=inverse_weights, where=counts > 0)

@@ -85,19 +85,6 @@ def covariance_curve(
     return SpectrumCurve(grid, window.values * scale)
 
 
-def prototype_weight_oracle(pair: CoprimePair) -> dict[int, int]:
-    """Brute-force pair counts of the single-period (prototype) array.
-
-    Positions {M*n : n < N} united with {N*m : m < M}; used to validate the
-    prototype-array cost formula, which this package does not otherwise
-    model.
-    """
-    positions = _distinct_positions(pair, extended=False)
-    span = positions[-1]
-    tally = _difference_counts(positions, span).tolist()
-    return {lag: count for lag, count in zip(range(-span, span + 1), tally) if count}
-
-
 def _cost_from_weights(counts: np.ndarray) -> tuple[int, int]:
     """Multiplications and additions from the pair counts at lags 0 ... limit."""
     multiplications = int(counts.sum())

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterator, Mapping
 
 from .errors import OutOfRangeError
-from .pair import CoprimePair
+from .pair import CoprimePair, exact_int
 
 
 class SetKind(Enum):
@@ -76,6 +76,22 @@ def lag_limit(pair: CoprimePair, range_kind: RangeKind) -> int:
     if range_kind is RangeKind.CONTINUOUS:
         return pair.continuous_lag_limit
     return pair.prototype_lag_limit
+
+
+def _index_limits(pair: CoprimePair, range_kind: RangeKind) -> tuple[int, list[int]]:
+    """Last indices of the index runs that stay within `range_kind`.
+
+    Returns ``(K, uppers)``: K is the last self-N index m with
+    N*m <= limit, and ``uppers[n - 1]`` the last extension-cross index m
+    with N*m - M*n <= limit, for n = 1 ... N-1.  Both solve |lag| <= limit
+    and stop at the second stream's last sample, m = 2M - 1.
+    """
+    limit = lag_limit(pair, range_kind)
+    last = 2 * pair.M - 1
+    return (
+        min(last, limit // pair.N),
+        [min(last, (limit + pair.M * n) // pair.N) for n in range(1, pair.N)],
+    )
 
 
 @dataclass(frozen=True)
@@ -200,8 +216,12 @@ def continuous_bounds(pair: CoprimePair) -> tuple[int, int]:
 def holes(pair: CoprimePair, upto: int) -> list[int]:
     """Sorted non-negative lags <= `upto` missing from the cross union set.
 
-    Empty whenever `upto` stays within the hole-free stretch.
+    Empty whenever `upto` stays within the hole-free stretch.  `upto` must
+    be a non-negative integer; bools and non-integral values raise.
     """
+    upto = exact_int("upto", upto)
+    if upto < 0:
+        raise OutOfRangeError(f"upto must be non-negative, got {upto}")
     if upto > pair.full_lag_limit:
         raise OutOfRangeError(
             f"upto={upto} exceeds the snapshot lag limit {pair.full_lag_limit}"

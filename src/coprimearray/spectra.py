@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoSideLobeError, OutOfRangeError, check_residual
 from .pair import CoprimePair, exact_int, finite_positive
-from .sets import RangeKind
+from .sets import RangeKind, _index_limits, lag_limit
 from .weights import weight_terms
 
 #: Grids below this size quantize side-lobe peaks too coarsely for the
@@ -228,8 +228,7 @@ def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid)
     M, N = pair.M, pair.N
     half = _HalfGrid(grid)
     if range_kind is not RangeKind.FULL:
-        limit = pair.continuous_lag_limit if range_kind is RangeKind.CONTINUOUS else pair.prototype_lag_limit
-        return half.curve(half.dirichlet(2 * limit + 1, half.phase(1)))
+        return half.curve(half.dirichlet(2 * lag_limit(pair, range_kind) + 1, half.phase(1)))
     j_m = half.phase(M)
     j_n = half.phase(N)
     cos_mn = half.cos(2 * M * N)
@@ -278,27 +277,21 @@ def bias_biased(
     self_m = half.dirichlet(N, j_m) ** 2 + half.dirichlet(2 * N - 1, j_m)
     base_cross = 2.0 * half.dirichlet(N - 1, j_m) * half.dirichlet(M - 1, j_n)
 
+    # Self-N lags N*m, |m| <= K, carry 2M - |m| pairs: a triangle of height
+    # K + 1 (the squared Dirichlet kernel) on a flat step of 2M - 1 - K,
+    # which is zero on the full range.
+    last_self_n, uppers = _index_limits(pair, range_kind)
+    self_n = half.dirichlet(last_self_n + 1, j_n) ** 2
+    if last_self_n < 2 * M - 1:
+        self_n = self_n + (2 * M - 1 - last_self_n) * half.dirichlet(2 * last_self_n + 1, j_n)
+
     if range_kind is RangeKind.FULL:
         # The full-range form groups the base and extension cross terms
         # into a single (1 + cos) factor.
-        self_n = half.dirichlet(2 * M, j_n) ** 2
         cross = (1.0 + half.cos(2 * M * N)) * base_cross
         values = self_m + self_n + cross - 2.0
-        return half.curve(values / s_b)
-
-    if range_kind is RangeKind.CONTINUOUS:
-        # Whole N-spaced steps of the continuous range beyond one co-prime period.
-        extra = (M - 1) // N
-        self_n = (
-            half.dirichlet(M + extra + 1, j_n) ** 2
-            + (M - extra - 1) * half.dirichlet(2 * M + 2 * extra + 1, j_n)
-        )
-        uppers = [(M * N + M + M * n - 1) // N for n in range(1, N)]
     else:
-        self_n = half.dirichlet(M, j_n) ** 2 + M * half.dirichlet(2 * M - 1, j_n)
-        uppers = [(M * N + M * n - 1) // N for n in range(1, N)]
-
-    values = self_m + self_n + base_cross + _ext_cross_transform(pair, half, j_n, uppers) - 2.0
+        values = self_m + self_n + base_cross + _ext_cross_transform(pair, half, j_n, uppers) - 2.0
     return half.curve(values / s_b)
 
 

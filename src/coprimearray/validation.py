@@ -40,12 +40,17 @@ def as_grid(value: FrequencyGrid | int) -> FrequencyGrid:
     return FrequencyGrid(value)
 
 
-def check_stream(values: object) -> np.ndarray:
-    """Validate a sample stream: one-dimensional, finite, complex-valued."""
+def _one_dimensional(values: object) -> np.ndarray:
+    """`values` as an array, which must be one-dimensional."""
     stream = np.asarray(values)
     if stream.ndim != 1:
         raise OutOfRangeError(f"sample stream must be one-dimensional, got shape {stream.shape}")
-    stream = np.ascontiguousarray(stream, dtype=np.complex128)
+    return stream
+
+
+def check_stream(values: object) -> np.ndarray:
+    """Validate a sample stream: one-dimensional, finite, complex-valued."""
+    stream = np.ascontiguousarray(_one_dimensional(values), dtype=np.complex128)
     # A contiguous complex array is its real and imaginary parts
     # interleaved, so one pass over the float view checks both.
     if not np.isfinite(stream.view(np.float64)).all():

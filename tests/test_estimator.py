@@ -124,6 +124,23 @@ class TestSampleSnapshot:
         with pytest.raises(InsufficientDataError):
             sample_snapshot(np.zeros(10, dtype=complex), PAIR, 0)
 
+    @pytest.mark.parametrize("index", [1.5, True, "1"], ids=["fractional", "bool", "string"])
+    def test_index_must_be_an_integer(self, index):
+        with pytest.raises(OutOfRangeError):
+            sample_snapshot(np.zeros(2 * PAIR.period, dtype=complex), PAIR, index)
+
+    def test_two_dimensional_stream_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            sample_snapshot(np.zeros((2, PAIR.period), dtype=complex), PAIR, 0)
+
+    def test_only_the_read_snapshot_is_checked(self):
+        # A non-finite sample spoils its own snapshot, not the others.
+        stream = np.ones(2 * PAIR.period, dtype=complex)
+        stream[PAIR.period + 1] = np.nan
+        assert np.array_equal(sample_snapshot(stream, PAIR, 0).values, np.ones(PAIR.sample_count))
+        with pytest.raises(OutOfRangeError):
+            sample_snapshot(stream, PAIR, 1)
+
 
 class TestAutocorrelation:
     def test_all_ones_unbiased(self):

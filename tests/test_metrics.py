@@ -13,7 +13,6 @@ from coprimearray import (
     UnsupportedRegimeError,
     complexity,
     covariance_curve,
-    prototype_weight_oracle,
     variance_factor,
     variance_sweep,
     weight_oracle,
@@ -121,14 +120,6 @@ class TestComplexity:
                     schemes.append(Scheme.PROTOTYPE_CONTINUOUS)
                 for scheme in schemes:
                     assert isinstance(complexity(pair, scheme), ComplexityReport)
-
-
-class TestPrototypeOracle:
-    def test_counts_4_3(self):
-        counts = prototype_weight_oracle(CoprimePair(4, 3))
-        positive = {lag: counts[lag] for lag in range(0, 7)}
-        assert positive == {0: 6, 1: 2, 2: 2, 3: 3, 4: 2, 5: 2, 6: 2}
-        assert all(counts[lag] == counts[-lag] for lag in positive)
 
 
 class TestVarianceSweep:

@@ -157,6 +157,11 @@ class TestContinuousRange:
         with pytest.raises(OutOfRangeError):
             holes(CoprimePair(4, 3), 24)
 
+    @pytest.mark.parametrize("upto", [2.5, True, -3], ids=["fractional", "bool", "negative"])
+    def test_holes_upto_must_be_a_non_negative_integer(self, upto):
+        with pytest.raises(OutOfRangeError):
+            holes(CoprimePair(4, 3), upto)
+
 
 class TestStructure:
     @pytest.mark.parametrize("M,N", [(4, 3), (5, 3), (3, 8), (8, 3), (3, 4)])

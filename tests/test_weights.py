@@ -6,15 +6,14 @@ import pytest
 
 from coprimearray import (
     CoprimePair,
-    OutOfRangeError,
     RangeKind,
+    lag_limit,
     unbiased_window,
-    unbiased_window_closed_form,
-    weight_at,
     weight_closed_form,
     weight_oracle,
     weight_terms,
 )
+from coprimearray.sets import _index_limits
 from coprimearray.weights import _ext_cross_index_pairs
 
 
@@ -68,40 +67,25 @@ class TestClosedForm:
             assert all(reference[lag] == count for lag, count in combined.items())
 
     def test_ext_cross_orientations_enumerate_same_pairs(self):
-        # Solving the range bound for m (M > N) or for n (N > M) must pick
-        # the same index pairs the inequality defines.
-        for pair in (CoprimePair(7, 3), CoprimePair(3, 7), CoprimePair(5, 4), CoprimePair(4, 5)):
+        # On both orientations of every pair up to 12 and on every range,
+        # the extension-cross runs hold exactly the index pairs that
+        # |M*n - N*m| <= limit admits, each once, and K is the last self-N
+        # index m with N*m <= limit.
+        for pair in coprime_pairs(12):
             M, N = pair.M, pair.N
-            for range_kind, limit in (
-                (RangeKind.CONTINUOUS, pair.continuous_lag_limit),
-                (RangeKind.PROTOTYPE, pair.prototype_lag_limit),
-            ):
+            for range_kind in RangeKind:
+                limit = lag_limit(pair, range_kind)
                 expected = {
                     (n, m)
                     for n in range(1, N)
                     for m in range(M + 1, 2 * M)
                     if abs(M * n - N * m) <= limit
                 }
-                assert set(_ext_cross_index_pairs(pair, range_kind)) == expected
-
-
-class TestWeightAt:
-    def test_examples(self):
-        pair = CoprimePair(4, 3)
-        assert weight_at(pair, 3) == 7  # 2M - 1
-        assert weight_at(pair, 0) == 10
-        assert weight_at(pair, 16) == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            weight_at(CoprimePair(4, 3), 24)
-
-    @pytest.mark.parametrize("M,N", [(4, 3), (3, 4), (8, 3), (3, 8), (5, 4)])
-    def test_matches_oracle_everywhere(self, M, N):
-        pair = CoprimePair(M, N)
-        oracle = weight_oracle(pair, RangeKind.FULL)
-        for lag in range(-pair.full_lag_limit, pair.full_lag_limit + 1):
-            assert weight_at(pair, lag) == oracle[lag], lag
+                pairs = _ext_cross_index_pairs(pair, range_kind)
+                assert len(pairs) == len(expected)
+                assert set(pairs) == expected
+                last_self_n, _ = _index_limits(pair, range_kind)
+                assert last_self_n == max(m for m in range(2 * M) if N * m <= limit)
 
 
 class TestUnbiasedWindow:
@@ -117,10 +101,11 @@ class TestUnbiasedWindow:
 
     @pytest.mark.parametrize("pair", list(coprime_pairs(10)), ids=str)
     def test_five_term_form_reproduces_membership(self, pair):
-        assert (
-            unbiased_window_closed_form(pair).indicator
-            == unbiased_window(pair, RangeKind.FULL).indicator
-        )
+        # The window is 1 exactly at the lags some sample pair lands on.
+        oracle = weight_oracle(pair, RangeKind.FULL).counts
+        assert unbiased_window(pair, RangeKind.FULL).indicator == {
+            lag: int(count > 0) for lag, count in oracle.items()
+        }
 
 
 class TestSweepInvariants:
