@@ -34,12 +34,12 @@ from .errors import (
 from .estimator import SignalModel, ToneComponent, average_correlogram, detect_peaks
 from .metrics import Scheme, complexity, variance_factor, variance_sweep
 from .pair import CoprimePair
-from .sets import RangeKind, SetKind, difference_set, dof, sampler_positions
+from .sets import DifferenceSet, RangeKind, SetKind, difference_set, dof
 from .spectra import (
     FrequencyGrid,
+    _lag_transform,
     bias_biased,
     bias_unbiased,
-    dtft_of_window,
     main_peak,
     relative_amplitude,
     window_term_curves,
@@ -116,19 +116,24 @@ def _s_b(args: argparse.Namespace, pair: CoprimePair) -> float:
 
 # --- command handlers: each returns [(file stem, columns, rows)] ---------
 
+def _checked_set(pair: CoprimePair, kind: SetKind, extended: bool = True) -> DifferenceSet:
+    """The enumerated set, after checking its size against the closed-form dof."""
+    enumerated = difference_set(pair, kind, extended)
+    closed = dof(pair, kind, extended)
+    if closed != len(enumerated):
+        raise ConsistencyError(f"set {kind.value} (extended={extended}): closed-form dof "
+                               f"{closed} != enumerated {len(enumerated)}")
+    return enumerated
+
+
 def _cmd_diffset(args) -> list[tuple[str, list[str], list[list]]]:
     pair = _pair_from(args)
     rows = []
     for kind in SetKind:
-        enumerated = difference_set(pair, kind)
-        closed = dof(pair, kind)
-        if closed != len(enumerated):
-            raise ConsistencyError(
-                f"set {kind.value}: closed-form dof {closed} != enumerated {len(enumerated)}"
-            )
+        enumerated = _checked_set(pair, kind)
         rows.append([
             kind.value,
-            closed,
+            len(enumerated),
             min(enumerated.lags),
             max(enumerated.lags),
             " ".join(str(lag) for lag in enumerated.lags),
@@ -140,11 +145,10 @@ def _cmd_diffset(args) -> list[tuple[str, list[str], list[list]]]:
 def _cmd_weights(args):
     pair = _pair_from(args)
     range_kind = as_range_kind(args.range)
-    closed = weight_closed_form(pair, range_kind)
-    oracle = weight_oracle(pair, range_kind)
-    if closed.counts != oracle.counts:
+    closed = weight_closed_form(pair, range_kind).counts
+    if not np.array_equal(closed.array, weight_oracle(pair, range_kind).counts.array):
         raise ConsistencyError("closed-form weights disagree with the pair enumeration")
-    rows = [[lag, count] for lag, count in sorted(closed.counts.items())]
+    rows = [[lag, count] for lag, count in zip(closed.lags.tolist(), closed.array.tolist())]
     return [(f"weights_M{pair.M}_N{pair.N}_{range_kind.value}", ["lag", "count"], rows)]
 
 
@@ -165,7 +169,8 @@ def _cmd_bias(args):
         main_peak(pair, range_kind) / s_b,
     )
     window = unbiased_window(pair, range_kind)
-    window_oracle = dtft_of_window(window.indicator, grid)
+    window_oracle = _lag_transform(window.indicator.lags, window.indicator.array, grid,
+                                   "window transform")
     check_residual(
         "unbiased window closed form against its transform",
         float(np.max(np.abs(window_oracle.values - unbiased.values))),
@@ -242,34 +247,6 @@ def _cmd_estimate(args):
     return [(stem, ["omega", "power"], rows)]
 
 
-def _prototype_dof_rows(pair: CoprimePair) -> list[list]:
-    M, N = pair.M, pair.N
-    positive, second = map(set, sampler_positions(pair, extended=False))
-    cross = {M * n - N * m for n in range(N) for m in range(M)}
-    union_self = positive | second | {-lag for lag in positive | second}
-    union_cross = cross | {-lag for lag in cross}
-    closed = {
-        "SM+": N, "SM-": N, "SN+": M, "SN-": M,
-        "S+": M + N - 1, "S-": M + N - 1, "S": 2 * (M + N - 1) - 1,
-        "C+": M * N, "C-": M * N, "C": M * N + M + N - 2,
-    }
-    enumerated = {
-        "SM+": len(positive), "SM-": len(positive),
-        "SN+": len(second), "SN-": len(second),
-        "S+": len(positive | second), "S-": len(positive | second),
-        "S": len(union_self),
-        "C+": len(cross), "C-": len(cross), "C": len(union_cross),
-    }
-    rows = []
-    for tag, value in closed.items():
-        if value != enumerated[tag]:
-            raise ConsistencyError(
-                f"prototype set {tag}: closed-form dof {value} != enumerated {enumerated[tag]}"
-            )
-        rows.append([M, N, "prototype", tag, value])
-    return rows
-
-
 def _cmd_tables(args):
     grid = FrequencyGrid(args.grid_size)
 
@@ -284,15 +261,10 @@ def _cmd_tables(args):
             if math.gcd(M, N) != 1:
                 continue
             pair = CoprimePair(M, N)
-            for kind in table_one_kinds:
-                closed = dof(pair, kind)
-                enumerated = len(difference_set(pair, kind))
-                if closed != enumerated:
-                    raise ConsistencyError(
-                        f"set {kind.value}: closed-form dof {closed} != enumerated {enumerated}"
-                    )
-                dof_rows.append([M, N, "extended", kind.value, closed])
-            dof_rows.extend(_prototype_dof_rows(pair))
+            for extended, array in ((True, "extended"), (False, "prototype")):
+                for kind in table_one_kinds:
+                    size = len(_checked_set(pair, kind, extended))
+                    dof_rows.append([M, N, array, kind.value, size])
 
     def amplitude_rows(pairs):
         rows = []

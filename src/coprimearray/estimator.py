@@ -199,9 +199,7 @@ def _structure(M: int, N: int, range_value: str) -> _PairStructure:
     differences = (positions[:, None] - positions[None, :]).ravel()
     flat = np.flatnonzero(np.abs(differences) <= limit)
     counts = np.bincount(differences[flat] + limit, minlength=2 * limit + 1)
-    # The closed form's counts run over every lag in [-limit, limit], in order.
-    expected = weight_closed_form(pair, range_kind).counts
-    if not np.array_equal(counts, np.fromiter(expected.values(), dtype=np.int64, count=len(expected))):
+    if not np.array_equal(counts, weight_closed_form(pair, range_kind).counts.array):
         raise ConsistencyError(f"pair tally of {pair} disagrees with the weight function")
     inverse_weights = np.zeros(len(counts))
     np.divide(1.0, counts, out=inverse_weights, where=counts > 0)

@@ -8,9 +8,9 @@ from math import gcd
 
 from .errors import NotCoprimeError, OutOfRangeError
 
-# Every construction in this package enumerates an O(M*N) index grid.  This
-# cap keeps those enumerations cheap; it is a documented limit, not a
-# correctness bound.
+# Every construction in this package enumerates an O(M*N) index grid into
+# int64 lag-count arrays of about 32*M*N bytes over the full range (3.2 GB
+# near the cap).  This cap is a documented limit, not a correctness bound.
 MAX_FACTOR = 10_000
 
 

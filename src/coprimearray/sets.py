@@ -2,17 +2,21 @@
 
 The two sample streams sit at positions ``{M*n : 0 <= n < N}`` and
 ``{N*m : 0 <= m < 2M}``.  Their self and cross differences form a family of
-named integer sets; this module enumerates them, exposes their closed-form
+named integer sets, all read off one enumeration, the cross-difference
+matrix ``D[n, m] = M*n - N*m`` (m < M for the prototype array).  Each set
+is stored as an int64 count array over [-(2MN-1), 2MN-1], lag l at index
+l + 2MN - 1.  This module enumerates the sets, exposes their closed-form
 cardinalities, and verifies the structural facts the rest of the package
-relies on (coverage, hole locations, sign patterns).
+relies on (coverage, hole locations, sign patterns) on those arrays.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .errors import OutOfRangeError
 from .pair import CoprimePair, exact_int
@@ -137,80 +141,80 @@ def _distinct_positions(pair: CoprimePair, extended: bool = True) -> list[int]:
     return sorted(set(first) | set(second))
 
 
-def _elementary_lags(pair: CoprimePair, kind: SetKind) -> Iterator[int]:
-    M, N = pair.M, pair.N
-    if kind is SetKind.SELF_M_POS:
-        return (M * n for n in range(N))
-    if kind is SetKind.SELF_M_NEG:
-        return (-M * n for n in range(N))
-    if kind is SetKind.SELF_N_POS:
-        return (N * m for m in range(2 * M))
-    if kind is SetKind.SELF_N_NEG:
-        return (-N * m for m in range(2 * M))
-    if kind is SetKind.CROSS_POS:
-        return (M * n - N * m for n in range(N) for m in range(2 * M))
-    if kind is SetKind.CROSS_NEG:
-        return (N * m - M * n for n in range(N) for m in range(2 * M))
-    if kind is SetKind.BASE_CROSS_POS:
-        return (M * n - N * m for n in range(N) for m in range(M))
-    if kind is SetKind.BASE_CROSS_NEG:
-        return (N * m - M * n for n in range(N) for m in range(M))
-    if kind is SetKind.EXT_CROSS_POS:
-        return (M * n - N * m for n in range(N) for m in range(M, 2 * M))
-    if kind is SetKind.EXT_CROSS_NEG:
-        return (N * m - M * n for n in range(N) for m in range(M, 2 * M))
-    raise ValueError(f"{kind} is not an elementary kind")
+def _cross_differences(pair: CoprimePair, extended: bool = True) -> np.ndarray:
+    """The one enumeration of lags: D[n, m] = M*n - N*m, 0 <= n < N, 0 <= m < 2M.
+
+    The first stream's positions minus the second's; with ``extended=False``
+    m stops at M, the prototype array.  Every named set is a block of +D or
+    -D: self-M is column 0, self-N row 0 negated, and the base and extension
+    cross parts the first and last M columns.
+    """
+    first, second = sampler_positions(pair, extended)
+    return np.subtract.outer(np.array(first, dtype=np.int64), np.array(second, dtype=np.int64))
 
 
 _UNION_PARTS = {
     SetKind.SELF_POS: (SetKind.SELF_M_POS, SetKind.SELF_N_POS),
     SetKind.SELF_NEG: (SetKind.SELF_M_NEG, SetKind.SELF_N_NEG),
-    SetKind.SELF_UNION: (
-        SetKind.SELF_M_POS,
-        SetKind.SELF_N_POS,
-        SetKind.SELF_M_NEG,
-        SetKind.SELF_N_NEG,
-    ),
+    SetKind.SELF_UNION: (SetKind.SELF_M_POS, SetKind.SELF_N_POS,
+                         SetKind.SELF_M_NEG, SetKind.SELF_N_NEG),
     SetKind.CROSS_UNION: (SetKind.CROSS_POS, SetKind.CROSS_NEG),
 }
 
 
-def difference_set(pair: CoprimePair, kind: SetKind) -> DifferenceSet:
-    """Enumerate the named lag set exhaustively over its index ranges."""
-    if kind in UNION_KINDS:
-        members: set[int] = set()
-        for part in _UNION_PARTS[kind]:
-            members.update(_elementary_lags(pair, part))
-        multiplicity = {lag: 1 for lag in sorted(members)}
-    else:
-        multiplicity = dict(sorted(Counter(_elementary_lags(pair, kind)).items()))
-    return DifferenceSet(kind, tuple(multiplicity), multiplicity)
+def _lag_counts(pair: CoprimePair, kind: SetKind, extended: bool = True) -> np.ndarray:
+    """Multiplicity of every lag of the named set, lag l at index l + 2MN - 1.
+
+    One bincount of the set's blocks of +-D over [-(2MN-1), 2MN-1]; union
+    kinds hold presence (0 or 1).
+    """
+    differences = _cross_differences(pair, extended)
+    # An elementary kind's tag names its block of D, then its sign.
+    blocks = {"SM": differences[:, 0], "SN": -differences[0], "C": differences,
+              "A": differences[:, :pair.M], "B": differences[:, pair.M:]}
+    lags = [blocks[part.value[:-1]].ravel() * (-1 if part.value[-1] == "-" else 1)
+            for part in _UNION_PARTS.get(kind, (kind,))]
+    limit = pair.full_lag_limit
+    counts = np.bincount(np.concatenate(lags) + limit, minlength=2 * limit + 1)
+    return np.minimum(counts, 1) if kind in UNION_KINDS else counts
 
 
-def dof(pair: CoprimePair, kind: SetKind) -> int:
-    """Closed-form count of distinct lags in the named set."""
+def difference_set(pair: CoprimePair, kind: SetKind, extended: bool = True) -> DifferenceSet:
+    """Enumerate the named lag set exhaustively over its index ranges.
+
+    With ``extended=False`` the sets are those of the prototype array
+    (``sampler_positions``), whose extension cross parts are empty.
+    """
+    counts = _lag_counts(pair, kind, extended)
+    members = np.flatnonzero(counts)
+    lags = (members - pair.full_lag_limit).tolist()
+    return DifferenceSet(kind, tuple(lags), dict(zip(lags, counts[members].tolist())))
+
+
+def dof(pair: CoprimePair, kind: SetKind, extended: bool = True) -> int:
+    """Closed-form count of distinct lags in the named set.
+
+    With ``extended=False``, of the prototype array's set.
+    """
     M, N = pair.M, pair.N
+    second = 2 * M if extended else M  # samples of the N-spaced stream
     if kind in (SetKind.SELF_M_POS, SetKind.SELF_M_NEG):
         return N
     if kind in (SetKind.SELF_N_POS, SetKind.SELF_N_NEG):
-        return 2 * M
+        return second
     if kind in (SetKind.SELF_POS, SetKind.SELF_NEG):
-        return 2 * M + N - 1
+        return second + N - 1
     if kind is SetKind.SELF_UNION:
-        return 2 * (2 * M + N - 1) - 1
+        return 2 * (second + N - 1) - 1
     if kind in (SetKind.CROSS_POS, SetKind.CROSS_NEG):
-        return 2 * M * N
+        return second * N
     if kind is SetKind.CROSS_UNION:
-        return 3 * M * N + M - N
+        return 3 * M * N + M - N if extended else M * N + M + N - 2
+    if kind in (SetKind.EXT_CROSS_POS, SetKind.EXT_CROSS_NEG) and not extended:
+        return 0
     # Base and extension cross parts each carry one co-prime period of
     # distinct values.
     return M * N
-
-
-def continuous_bounds(pair: CoprimePair) -> tuple[int, int]:
-    """End points of the hole-free lag stretch, (-(MN+M-1), MN+M-1)."""
-    limit = pair.continuous_lag_limit
-    return (-limit, limit)
 
 
 def holes(pair: CoprimePair, upto: int) -> list[int]:
@@ -222,12 +226,11 @@ def holes(pair: CoprimePair, upto: int) -> list[int]:
     upto = exact_int("upto", upto)
     if upto < 0:
         raise OutOfRangeError(f"upto must be non-negative, got {upto}")
-    if upto > pair.full_lag_limit:
-        raise OutOfRangeError(
-            f"upto={upto} exceeds the snapshot lag limit {pair.full_lag_limit}"
-        )
-    achievable = difference_set(pair, SetKind.CROSS_UNION).multiplicity
-    return [lag for lag in range(upto + 1) if lag not in achievable]
+    limit = pair.full_lag_limit
+    if upto > limit:
+        raise OutOfRangeError(f"upto={upto} exceeds the snapshot lag limit {limit}")
+    present = _lag_counts(pair, SetKind.CROSS_UNION)[limit:limit + upto + 1]
+    return np.flatnonzero(present == 0).tolist()
 
 
 @dataclass(frozen=True)
@@ -254,71 +257,56 @@ class StructureReport:
         return [clause for clause in self.clauses if not clause.passed]
 
 
-def _coverage_clause(name: str, members: set[int], lo: int, hi: int) -> ClauseCheck:
-    for lag in range(lo, hi + 1):
-        if lag not in members:
-            return ClauseCheck(name, False, lag)
-    return ClauseCheck(name, True)
-
-
-def _subset_clause(name: str, small: set[int], big: set[int]) -> ClauseCheck:
-    missing = sorted(small - big)
-    if missing:
-        return ClauseCheck(name, False, missing[0])
-    return ClauseCheck(name, True)
-
-
 def verify_structure(pair: CoprimePair) -> StructureReport:
     """Check every structural claim about the lag sets by enumeration.
 
     Covers the extent and contiguity of the cross sets, the location of the
     first hole, the sign split of the extension cross parts, and the
-    containment of the self differences in them.
+    containment of the self differences in them.  Each clause runs on the
+    sets' presence arrays, and a failing clause reports its smallest
+    breaking lag.
     """
     M, N = pair.M, pair.N
-    cross_pos = set(difference_set(pair, SetKind.CROSS_POS).lags)
-    cross_neg = set(difference_set(pair, SetKind.CROSS_NEG).lags)
-    cross_union = cross_pos | cross_neg
-    ext_pos = set(difference_set(pair, SetKind.EXT_CROSS_POS).lags)
-    ext_neg = set(difference_set(pair, SetKind.EXT_CROSS_NEG).lags)
+    limit = pair.full_lag_limit
     run = pair.continuous_lag_limit
+    kinds = (SetKind.CROSS_POS, SetKind.CROSS_NEG, SetKind.CROSS_UNION,
+             SetKind.EXT_CROSS_POS, SetKind.EXT_CROSS_NEG)
+    present = {kind: _lag_counts(pair, kind) > 0 for kind in kinds}
 
-    clauses = []
+    def span(lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo, hi + 1)
 
-    def extent(name: str, members: set[int], lo: int, hi: int, count: int) -> None:
-        bad = next((lag for lag in members if not lo <= lag <= hi), None)
-        ok = bad is None and len(members) == count and min(members) == lo and max(members) == hi
-        clauses.append(ClauseCheck(name, ok, bad))
+    def first(kind: SetKind, lags: np.ndarray, presence: bool) -> int | None:
+        """The first of the sorted `lags` whose presence in `kind` is `presence`."""
+        hits = lags[present[kind][lags + limit] == presence]
+        return int(hits[0]) if len(hits) else None
 
-    extent("cross_pos_extent", cross_pos, -N * (2 * M - 1), M * (N - 1), 2 * M * N)
-    extent("cross_neg_extent", cross_neg, -M * (N - 1), N * (2 * M - 1), 2 * M * N)
-    clauses.append(_coverage_clause("cross_pos_run", cross_pos, -run, N - 1))
-    clauses.append(_coverage_clause("cross_neg_run", cross_neg, -(N - 1), run))
+    def clause(name: str, *witnesses: int | None) -> ClauseCheck:
+        bad = next((lag for lag in witnesses if lag is not None), None)
+        return ClauseCheck(name, bad is None, bad)
 
-    covered = _coverage_clause("cross_union_run", cross_union, -run, run)
-    if covered.passed and (run + 1 in cross_union or -(run + 1) in cross_union):
-        covered = ClauseCheck("cross_union_run", False, run + 1)
-    clauses.append(covered)
+    def extent(name: str, kind: SetKind, lo: int, hi: int, count: int) -> ClauseCheck:
+        outside = first(kind, np.concatenate((span(-limit, lo - 1), span(hi + 1, limit))), True)
+        ends = present[kind][lo + limit] and present[kind][hi + limit]
+        ok = outside is None and ends and np.count_nonzero(present[kind]) == count
+        return ClauseCheck(name, bool(ok), outside)
 
-    bad_sign = next((lag for lag in ext_pos if lag >= 0), None)
-    if bad_sign is None:
-        bad_sign = next((lag for lag in ext_neg if lag <= 0), None)
-    clauses.append(ClauseCheck("ext_cross_sign_split", bad_sign is None, bad_sign))
-
-    self_m = {M * n for n in range(1, N)}
-    mirrored_in_pos = _subset_clause(
-        "self_m_in_ext_cross", {-lag for lag in self_m}, ext_pos
+    ext_pos, ext_neg = SetKind.EXT_CROSS_POS, SetKind.EXT_CROSS_NEG
+    self_m = M * span(1, N - 1)
+    tail = N * span(M, 2 * M - 1)
+    clauses = (
+        extent("cross_pos_extent", SetKind.CROSS_POS, -N * (2 * M - 1), M * (N - 1), 2 * M * N),
+        extent("cross_neg_extent", SetKind.CROSS_NEG, -M * (N - 1), N * (2 * M - 1), 2 * M * N),
+        clause("cross_pos_run", first(SetKind.CROSS_POS, span(-run, N - 1), False)),
+        clause("cross_neg_run", first(SetKind.CROSS_NEG, span(-(N - 1), run), False)),
+        clause("cross_union_run", first(SetKind.CROSS_UNION, span(-run, run), False),
+               first(SetKind.CROSS_UNION, np.array([-(run + 1), run + 1]), True)),
+        clause("ext_cross_sign_split",
+               first(ext_pos, span(0, limit), True), first(ext_neg, span(-limit, 0), True)),
+        # -self_m lies in the positive extension cross part, self_m in the negative one.
+        clause("self_m_in_ext_cross",
+               first(ext_pos, -self_m[::-1], False), first(ext_neg, self_m, False)),
+        clause("self_n_tail_in_ext_cross",
+               first(ext_pos, -tail[::-1], False), first(ext_neg, tail, False)),
     )
-    if mirrored_in_pos.passed:
-        mirrored_in_pos = _subset_clause("self_m_in_ext_cross", self_m, ext_neg)
-    clauses.append(mirrored_in_pos)
-
-    tail = {N * m for m in range(M, 2 * M)}
-    tail_ok = _subset_clause(
-        "self_n_tail_in_ext_cross", {-lag for lag in tail}, ext_pos
-    )
-    if tail_ok.passed:
-        tail_ok = _subset_clause("self_n_tail_in_ext_cross", tail, ext_neg)
-    clauses.append(tail_ok)
-
-    return StructureReport(pair, tuple(clauses))
+    return StructureReport(pair, clauses)

@@ -420,6 +420,9 @@ def window_term_curves(
     """
     curves = {}
     for name, term in weight_terms(pair, range_kind).items():
-        transformed = dtft_of_window(term, grid)
+        # Only non-zero lags fold: self-M and self-N have O(M + N) of the range's O(MN).
+        present = np.flatnonzero(term.array)
+        transformed = _lag_transform(present - term.limit, term.array[present], grid,
+                                     "window transform")
         curves[name] = SpectrumCurve(grid, transformed.values / s_b)
     return curves

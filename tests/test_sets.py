@@ -9,15 +9,25 @@ from coprimearray import (
     CoprimePair,
     NotCoprimeError,
     OutOfRangeError,
+    RangeKind,
     SetKind,
-    continuous_bounds,
     difference_set,
     dof,
     holes,
     sampler_positions,
+    unbiased_window,
     verify_structure,
+    weight_closed_form,
 )
+from coprimearray import sets
 from coprimearray.sets import UNION_KINDS, _distinct_positions
+
+#: The ten kinds of the degrees-of-freedom table, for both arrays.
+TABLE_KINDS = [
+    SetKind.SELF_M_POS, SetKind.SELF_M_NEG, SetKind.SELF_N_POS, SetKind.SELF_N_NEG,
+    SetKind.SELF_POS, SetKind.SELF_NEG, SetKind.SELF_UNION,
+    SetKind.CROSS_POS, SetKind.CROSS_NEG, SetKind.CROSS_UNION,
+]
 
 
 def coprime_pairs(limit):
@@ -127,25 +137,37 @@ class TestDof:
     def test_closed_forms_match_enumeration(self, pair):
         for kind in SetKind:
             assert dof(pair, kind) == len(difference_set(pair, kind))
+        for kind in TABLE_KINDS:
+            assert dof(pair, kind, extended=False) == len(difference_set(pair, kind, extended=False))
+
+    def test_prototype_sets_match_positions(self):
+        # The prototype sets against differences of the single-period positions.
+        pair = CoprimePair(4, 3)
+        first, second = sampler_positions(pair, extended=False)
+        cross = {a - b for a in first for b in second}
+        self_union = {a - b for stream in (first, second) for a in stream for b in stream}
+        assert set(difference_set(pair, SetKind.CROSS_POS, extended=False).lags) == cross
+        assert set(difference_set(pair, SetKind.SELF_UNION, extended=False).lags) == self_union
+        assert difference_set(pair, SetKind.EXT_CROSS_POS, extended=False).lags == ()
 
 
 class TestContinuousRange:
     def test_bounds_and_first_hole_4_3(self):
         pair = CoprimePair(4, 3)
-        assert continuous_bounds(pair) == (-15, 15)
+        assert pair.continuous_lag_limit == 15
         members = difference_set(pair, SetKind.CROSS_UNION).multiplicity
         assert all(lag in members for lag in range(-15, 16))
         assert 16 not in members and -16 not in members
 
     def test_bounds_3_4(self):
         pair = CoprimePair(3, 4)
-        assert continuous_bounds(pair) == (-14, 14)
+        assert pair.continuous_lag_limit == 14
         members = difference_set(pair, SetKind.CROSS_UNION).multiplicity
         assert all(lag in members for lag in range(-14, 15))
         assert 15 not in members
 
     def test_bounds_2_3(self):
-        assert continuous_bounds(CoprimePair(2, 3)) == (-7, 7)
+        assert CoprimePair(2, 3).continuous_lag_limit == 7
 
     def test_holes(self):
         pair = CoprimePair(4, 3)
@@ -182,6 +204,24 @@ class TestStructure:
             "self_n_tail_in_ext_cross",
         ]
 
+    def test_lost_cross_lag_breaks_the_union_run(self, monkeypatch):
+        # Drop the cross lag -7 = 4*2 - 3*5 from the one enumeration.  Its
+        # mirror 7 is no cross lag, so both leave the hole-free stretch
+        # |l| <= 15, and the clause reports the smaller of the two.
+        pair = CoprimePair(4, 3)
+        lost = -7
+        enumerate_lags = sets._cross_differences
+
+        def losing(pair, extended=True):
+            differences = enumerate_lags(pair, extended).copy()
+            differences[differences == lost] = 0  # lag 0 is present anyway
+            return differences
+
+        monkeypatch.setattr(sets, "_cross_differences", losing)
+        clauses = {clause.name: clause for clause in verify_structure(pair).clauses}
+        assert not clauses["cross_union_run"].passed
+        assert clauses["cross_union_run"].counterexample == lost
+
     def test_cross_pos_extent_3_8(self):
         # -N(2M-1) .. M(N-1) for (3, 8) is [-40, 21].
         lags = difference_set(CoprimePair(3, 8), SetKind.CROSS_POS).lags
@@ -197,6 +237,16 @@ class TestSweepInvariants:
             assert len(difference_set(pair, SetKind.CROSS_NEG)) == 2 * M * N
             assert len(difference_set(pair, SetKind.SELF_UNION)) == 2 * (2 * M + N - 1) - 1
             assert verify_structure(pair).all_passed
+
+    def test_wide_pair_1000_1001(self):
+        M, N = 1000, 1001
+        pair = CoprimePair(M, N)
+        distinct = 3 * M * N + M - N  # dof of the cross union set
+        assert verify_structure(pair).all_passed
+        assert unbiased_window(pair, RangeKind.FULL).total() == distinct
+        # Of the 2MN non-negative lags, (distinct + 1) / 2 are present.
+        assert len(holes(pair, 2 * M * N - 1)) == 2 * M * N - (distinct + 1) // 2
+        assert weight_closed_form(pair, RangeKind.FULL).total() == (2 * M + N - 1) ** 2
 
     def test_self_subset_of_cross(self):
         for pair in coprime_pairs(12):

@@ -81,7 +81,8 @@ class TestClosedForm:
                     for m in range(M + 1, 2 * M)
                     if abs(M * n - N * m) <= limit
                 }
-                pairs = _ext_cross_index_pairs(pair, range_kind)
+                n, m = _ext_cross_index_pairs(pair, range_kind)
+                pairs = list(zip(n.tolist(), m.tolist()))
                 assert len(pairs) == len(expected)
                 assert set(pairs) == expected
                 last_self_n, _ = _index_limits(pair, range_kind)
