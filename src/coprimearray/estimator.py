@@ -141,10 +141,6 @@ class SnapshotData:
     positions: np.ndarray
     values: np.ndarray
 
-    @property
-    def samples(self) -> dict[int, complex]:
-        return {int(p): complex(v) for p, v in zip(self.positions, self.values)}
-
 
 def sample_snapshot(stream: np.ndarray, pair: CoprimePair, snapshot_index: int) -> SnapshotData:
     """Retain the co-prime sample positions of snapshot `snapshot_index`.

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ConsistencyError, UnsupportedRegimeError
-from .pair import CoprimePair, finite_nonnegative, finite_positive
-from .sets import RangeKind, _distinct_positions, lag_limit
+from .errors import ConsistencyError, OutOfRangeError, UnsupportedRegimeError
+from .pair import CoprimePair, check_positive_int, finite_nonnegative, finite_positive
+from .sets import RangeKind, SetKind, _distinct_positions, dof, lag_limit
 from .spectra import FrequencyGrid, SpectrumCurve, bias_biased, peak_value
 from .weights import _difference_counts
 
@@ -91,42 +92,45 @@ def _cost_from_weights(counts: np.ndarray) -> tuple[int, int]:
     return multiplications, multiplications - int(np.count_nonzero(counts))
 
 
-def _closed_form_cost(pair: CoprimePair, scheme: Scheme) -> tuple[int, int]:
-    M, N = pair.M, pair.N
-    if scheme is Scheme.EXTENDED_FULL:
-        mult = (2 * M + N) * (2 * M + N - 1) // 2
-        add = (4 * M * M + N * N + M * N - 3 * M - 1) // 2
-        return mult, add
-    if scheme is Scheme.EXTENDED_CONTINUOUS:
-        extra = (M - 1) // N
-        tail = sum((M + M * n - 1) // N for n in range(1, N)) - 1
-        base = N * N + 3 * M * M + N - M + extra * (2 * M - 1 - extra)
-        return (base + 2 * M * N + 2 * M) // 2 + tail, base // 2 + tail
-    if scheme is Scheme.EXTENDED_PROTOTYPE:
-        tail = sum((M * n - 1) // N for n in range(1, N)) - 1
-        base = N * N + 3 * M * M + N - M
-        return (base + 2 * M * N) // 2 + tail, base // 2 + tail
-    # Prototype array over its continuous range; derived for M > N only.
-    steps = (M + N - 1) // N
-    shared = (steps + 1) * (2 * M - steps - 4) // 2
-    return (2 * M + 4 * N - 4) + shared, (M + 3 * N - 4) + shared
+def _closed_form_cost(pair: CoprimePair, range_kind: RangeKind) -> tuple[int, int]:
+    """Multiplications and additions of the extended array at lags 0 ... limit.
+
+    z is symmetric with z(0) = 2M + N - 1, so those lags carry half the
+    weight sum plus the zero-lag pairs; each of the (A + 1)/2 available lags
+    among them takes one fewer addition than multiplications, where A
+    counts the available lags with |l| <= limit: the cross union on the
+    full range, every lag on the hole-free truncated ranges.
+    """
+    mult = (peak_value(pair.M, pair.N, range_kind) + pair.sample_count) // 2
+    if range_kind is RangeKind.FULL:
+        available = dof(pair, SetKind.CROSS_UNION)
+    else:
+        available = 2 * lag_limit(pair, range_kind) + 1
+    return mult, mult - (available + 1) // 2
 
 
 def complexity(pair: CoprimePair, scheme: Scheme) -> ComplexityReport:
     """Closed-form cost counts, cross-checked against the weight-sum oracle.
 
-    Raises UnsupportedRegimeError for the prototype-continuous scheme with
-    M < N (the closed form is derived for M > N), and ConsistencyError if
-    the closed form ever disagrees with the brute-force count.
+    Raises OutOfRangeError if `scheme` is not a Scheme,
+    UnsupportedRegimeError for the prototype-continuous scheme with M < N
+    (the closed form is derived for M > N), and ConsistencyError if the
+    closed form ever disagrees with the brute-force count.
     """
+    if not isinstance(scheme, Scheme):
+        raise OutOfRangeError(f"scheme must be a Scheme, got {scheme!r}")
+    M, N = pair.M, pair.N
     if scheme is Scheme.PROTOTYPE_CONTINUOUS:
-        if pair.M < pair.N:
+        if M < N:
             raise UnsupportedRegimeError(
-                "prototype-continuous cost counts require M > N "
-                f"(got M={pair.M}, N={pair.N})"
+                f"prototype-continuous cost counts require M > N (got M={M}, N={N})"
             )
         positions = _distinct_positions(pair, extended=False)
-        limit = pair.M + pair.N - 1
+        limit = M + N - 1
+        # The prototype array counts other pairs, so it keeps its own closed form.
+        steps = (M + N - 1) // N
+        shared = (steps + 1) * (2 * M - steps - 4) // 2
+        mult, add = (2 * M + 4 * N - 4) + shared, (M + 3 * N - 4) + shared
     else:
         range_kind = {
             Scheme.EXTENDED_FULL: RangeKind.FULL,
@@ -135,13 +139,13 @@ def complexity(pair: CoprimePair, scheme: Scheme) -> ComplexityReport:
         }[scheme]
         positions = _distinct_positions(pair)
         limit = lag_limit(pair, range_kind)
-    mult, add = _closed_form_cost(pair, scheme)
+        mult, add = _closed_form_cost(pair, range_kind)
     oracle_mult, oracle_add = _cost_from_weights(_difference_counts(positions, limit)[limit:])
     if (mult, add) != (oracle_mult, oracle_add):
         raise ConsistencyError(
             f"{scheme.value} cost formula gives ({mult}, {add}) but the "
             f"weight sums give ({oracle_mult}, {oracle_add}) for "
-            f"(M, N)=({pair.M}, {pair.N})"
+            f"(M, N)=({M}, {N})"
         )
     return ComplexityReport(scheme, mult, add)
 
@@ -153,17 +157,17 @@ def variance_sweep(
 
     Covers every pair 1 <= M <= max_m, 1 <= N <= max_n including
     non-co-prime ones; the factor formulas are plain arithmetic in (M, N),
-    but only co-prime pairs carry the package's guarantees.
+    but only co-prime pairs carry the package's guarantees.  Both bounds
+    must be positive integers, checked at the call.
     """
-    from math import gcd
+    max_m = check_positive_int("max_m", max_m)
+    max_n = check_positive_int("max_n", max_n)
 
-    for M in range(1, max_m + 1):
-        for N in range(1, max_n + 1):
-            s_b = 1.0 if unit_s_b else float(2 * M + N - 1)
-            yield (
-                M,
-                N,
-                gcd(M, N) == 1,
-                peak_value(M, N, RangeKind.CONTINUOUS) / (s_b * s_b),
-                peak_value(M, N, RangeKind.PROTOTYPE) / (s_b * s_b),
-            )
+    def rows() -> Iterator[tuple[int, int, bool, float, float]]:
+        for M in range(1, max_m + 1):
+            for N in range(1, max_n + 1):
+                s_b2 = 1.0 if unit_s_b else float(2 * M + N - 1) ** 2
+                yield (M, N, gcd(M, N) == 1, peak_value(M, N, RangeKind.CONTINUOUS) / s_b2,
+                       peak_value(M, N, RangeKind.PROTOTYPE) / s_b2)
+
+    return rows()

@@ -24,6 +24,18 @@ def exact_int(name: str, value: object) -> int:
         raise OutOfRangeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_positive_int(name: str, value: int) -> int:
+    """Validate a positive integer (numpy integers included) as an ``int``.
+
+    Non-integral values such as 2.7, and bools, are rejected rather than
+    truncated.
+    """
+    value = exact_int(name, value)
+    if value < 1:
+        raise OutOfRangeError(f"{name} must be a positive integer, got {value}")
+    return value
+
+
 def finite_real(name: str, value: object) -> float:
     """`value` as a float: bools, non-real values, nan and inf raise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

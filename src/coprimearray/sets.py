@@ -79,7 +79,9 @@ def lag_limit(pair: CoprimePair, range_kind: RangeKind) -> int:
         return pair.full_lag_limit
     if range_kind is RangeKind.CONTINUOUS:
         return pair.continuous_lag_limit
-    return pair.prototype_lag_limit
+    if range_kind is RangeKind.PROTOTYPE:
+        return pair.prototype_lag_limit
+    raise OutOfRangeError(f"range_kind must be a RangeKind, got {range_kind!r}")
 
 
 def _index_limits(pair: CoprimePair, range_kind: RangeKind) -> tuple[int, list[int]]:

@@ -9,12 +9,13 @@ validation, and measures main-lobe/side-lobe geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Mapping
 
 import numpy as np
 
 from .errors import NoSideLobeError, OutOfRangeError, check_residual
-from .pair import CoprimePair, exact_int, finite_positive
+from .pair import CoprimePair, check_positive_int, exact_int, finite_positive
 from .sets import RangeKind, _index_limits, lag_limit
 from .weights import weight_terms
 
@@ -295,35 +296,42 @@ def bias_biased(
     return half.curve(values / s_b)
 
 
-def peak_value(M: int, N: int, range_kind: RangeKind) -> int:
-    """Zero-frequency value of the weight-window transform (s_b = 1).
+def _floor_sum(m: int, n: int, x: int) -> int:
+    """sum_{0 <= k < n} floor((m*k + x)/n) in O(1), for m, n >= 1 and any integer x.
 
-    Pure integer arithmetic in (M, N); unlike the rest of the package this
-    does not require co-primality, so sweeps over arbitrary grids of
-    factors can reuse it.
+    With d = gcd(m, n) the sum is d*floor(x/d) + ((m - 1)(n - 1) + d - 1)/2
+    (Graham, Knuth and Patashnik, Concrete Mathematics, 2nd ed., section
+    3.5); co-primality is not needed.
     """
+    d = gcd(m, n)
+    return d * (x // d) + ((m - 1) * (n - 1) + d - 1) // 2
+
+
+def peak_value(M: int, N: int, range_kind: RangeKind) -> int:
+    """Zero-frequency value of the weight-window transform (s_b = 1): the weight sum.
+
+    Pure integer arithmetic in (M, N), O(1) through ``_floor_sum``; unlike
+    the rest of the package this does not require co-primality, so sweeps
+    over arbitrary grids of factors can reuse it.  M and N must be positive
+    integers and `range_kind` a RangeKind, or OutOfRangeError is raised.
+    """
+    M = check_positive_int("M", M)
+    N = check_positive_int("N", N)
     if range_kind is RangeKind.FULL:
         return (2 * M + N - 1) ** 2
     if range_kind is RangeKind.CONTINUOUS:
         extra = (M - 1) // N
+        # The paper's sum_{i=1}^{N-1} floor((M*i + M - 1)/N) is the i = 0 term short.
+        tail = _floor_sum(M, N, M - 1) - extra
         return (
-            (M + extra + 1) ** 2
-            + (M + N) ** 2
-            + M * M
-            - 3 * M
-            - 3 * extra
-            - 2 * extra * extra
-            - 2
-            + sum(2 * ((M + M * i - 1) // N) for i in range(1, N))
+            (M + extra + 1) ** 2 + (M + N) ** 2 + M * M
+            - 3 * M - 3 * extra - 2 * extra * extra - 2 + 2 * tail
         )
-    return (
-        3 * M * M
-        + N * N
-        - 3 * M
-        + 2 * M * N
-        - 1
-        + sum(2 * ((M * i - 1) // N) for i in range(1, N))
-    )
+    if range_kind is RangeKind.PROTOTYPE:
+        # sum_{i=1}^{N-1} floor((M*i - 1)/N); the i = 0 term is -1.
+        tail = _floor_sum(M, N, -1) + 1
+        return 3 * M * M + N * N - 3 * M + 2 * M * N - 1 + 2 * tail
+    raise OutOfRangeError(f"range_kind must be a RangeKind, got {range_kind!r}")
 
 
 def main_peak(pair: CoprimePair, range_kind: RangeKind) -> int:
@@ -394,9 +402,11 @@ def relative_amplitude(
     takes at omega = 0; P_s is the largest side-lobe maximum of
     ``bias_biased`` on [-pi, 0], and since that curve is exactly even the
     positive half holds the same lobes.  Invariant to ``s_b``, which must
-    be finite and positive, since both peaks scale identically.  Grid sizes
-    of at least 8192 are needed before the third decimal is trustworthy;
-    the default uses 16384.
+    be finite and positive, since both peaks scale identically.  The side
+    lobe is read off the grid (default 16384 points), so once the main lobe
+    spans only a few grid steps it can be the wrong lobe: at (40, 41) on the
+    continuous range the default grid reports R = 0.5844 at omega = -0.3064,
+    a 2^20-point grid 0.5829 at -0.1531.
     """
     if grid is None:
         grid = FrequencyGrid(16384)

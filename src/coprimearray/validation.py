@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import OutOfRangeError
-from .pair import CoprimePair, exact_int
+from .pair import CoprimePair, check_positive_int  # noqa: F401 - re-exported
 from .sets import RangeKind
 from .spectra import FrequencyGrid
 
@@ -56,15 +56,3 @@ def check_stream(values: object) -> np.ndarray:
     if not np.isfinite(stream.view(np.float64)).all():
         raise OutOfRangeError("sample stream contains non-finite values")
     return stream
-
-
-def check_positive_int(name: str, value: int) -> int:
-    """Validate a positive integer (numpy integers included) as an ``int``.
-
-    Non-integral values such as 2.7, and bools, are rejected rather than
-    truncated.
-    """
-    value = exact_int(name, value)
-    if value < 1:
-        raise OutOfRangeError(f"{name} must be a positive integer, got {value}")
-    return value

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coprimearray.cli import main
 
 
@@ -71,6 +73,14 @@ class TestVarianceCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 2 + 16
         assert any(line.startswith("2,4,false") for line in lines)
+
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_non_positive_sweep_bound_is_config_error(self, bound, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert main(["variance", "--max", bound, "-o", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "OutOfRangeError"
+        assert not out.exists()
 
 
 class TestEstimateCommand:

@@ -17,6 +17,7 @@ from coprimearray import (
     variance_sweep,
     weight_oracle,
 )
+from coprimearray.metrics import _closed_form_cost
 
 GRID = FrequencyGrid(1024)
 
@@ -120,6 +121,31 @@ class TestComplexity:
                     schemes.append(Scheme.PROTOTYPE_CONTINUOUS)
                 for scheme in schemes:
                     assert isinstance(complexity(pair, scheme), ComplexityReport)
+
+
+    def test_derived_costs_equal_paper_polynomials(self):
+        # The paper's expanded cost polynomials, floor sums as loops; the
+        # package derives the same counts from the weight sum.
+        def paper(M, N, range_kind):
+            if range_kind is RangeKind.FULL:
+                return ((2 * M + N) * (2 * M + N - 1) // 2,
+                        (4 * M * M + N * N + M * N - 3 * M - 1) // 2)
+            if range_kind is RangeKind.CONTINUOUS:
+                extra = (M - 1) // N
+                tail = sum((M + M * n - 1) // N for n in range(1, N)) - 1
+                base = N * N + 3 * M * M + N - M + extra * (2 * M - 1 - extra)
+                return (base + 2 * M * N + 2 * M) // 2 + tail, base // 2 + tail
+            tail = sum((M * n - 1) // N for n in range(1, N)) - 1
+            base = N * N + 3 * M * M + N - M
+            return (base + 2 * M * N) // 2 + tail, base // 2 + tail
+
+        for M in range(2, 31):
+            for N in range(2, 31):
+                if gcd(M, N) != 1:
+                    continue
+                for range_kind in RangeKind:
+                    expected = paper(M, N, range_kind)
+                    assert _closed_form_cost(CoprimePair(M, N), range_kind) == expected
 
 
 class TestVarianceSweep:

@@ -26,7 +26,7 @@ from coprimearray import (
     window_term_curves,
 )
 from coprimearray.errors import CHECK_RTOL
-from coprimearray.spectra import _strict_maxima
+from coprimearray.spectra import _floor_sum, _strict_maxima, peak_value
 
 GRID = FrequencyGrid(4096)
 
@@ -259,6 +259,41 @@ class TestMainPeak:
                 pair = CoprimePair(M, N)
                 for range_kind in RangeKind:
                     assert main_peak(pair, range_kind) == weight_oracle(pair, range_kind).total()
+
+
+    def test_numpy_factors_accepted(self):
+        assert peak_value(np.int64(4), np.uint8(3), RangeKind.CONTINUOUS) == 92
+
+
+class TestFloorSum:
+    def test_equals_direct_sum(self):
+        # Co-prime or not, and for offsets of either sign.
+        mismatches = []
+        for n in range(1, 80):
+            k = np.arange(n)
+            for m in range(1, 80):
+                for x in (-7, -1, 0, 3, m - 1, 2 * m + 5):
+                    if _floor_sum(m, n, x) != int(np.sum((m * k + x) // n)):
+                        mismatches.append((m, n, x))
+        assert not mismatches
+
+    def test_peak_value_equals_paper_loop_forms(self):
+        # The paper's truncated-range peaks, with their floor sums written
+        # as loops, on a grid that includes non-co-prime pairs and N = 1.
+        def continuous(M, N):
+            extra = (M - 1) // N
+            return ((M + extra + 1) ** 2 + (M + N) ** 2 + M * M - 3 * M - 3 * extra
+                    - 2 * extra * extra - 2
+                    + sum(2 * ((M + M * i - 1) // N) for i in range(1, N)))
+
+        def prototype(M, N):
+            return (3 * M * M + N * N - 3 * M + 2 * M * N - 1
+                    + sum(2 * ((M * i - 1) // N) for i in range(1, N)))
+
+        for M in range(1, 61):
+            for N in range(1, 61):
+                assert peak_value(M, N, RangeKind.CONTINUOUS) == continuous(M, N), (M, N)
+                assert peak_value(M, N, RangeKind.PROTOTYPE) == prototype(M, N), (M, N)
 
 
 class TestSideLobePeak:

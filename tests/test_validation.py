@@ -13,17 +13,29 @@ from coprimearray import (
     ToneComponent,
     autocorrelation,
     bias_biased,
+    bias_unbiased,
+    complexity,
     covariance_curve,
     generate_signal,
+    lag_limit,
+    main_peak,
+    peak_value,
     relative_amplitude,
     sample_snapshot,
+    unbiased_window,
     variance_factor,
+    variance_sweep,
+    weight_closed_form,
+    weight_oracle,
+    weight_terms,
+    window_term_curves,
 )
 from coprimearray.cli import main
 from coprimearray.validation import as_grid, as_pair, check_positive_int, check_stream
 
 PAIR = CoprimePair(4, 3)
 STREAM = np.ones(PAIR.period, dtype=complex)
+GRID = FrequencyGrid(1024)
 
 
 class TestCheckPositiveInt:
@@ -72,6 +84,53 @@ class TestAsGrid:
         stream = np.ones(CoprimePair(3, 7).period * 2, dtype=complex)
         with pytest.raises(OutOfRangeError):
             CoprimeCorrelogram(3, 7, grid_size=4096.9).fit(stream)
+
+
+class TestRangeKindRequired:
+    """A range given by name, or None, raises instead of reading as the prototype range."""
+
+    RANGE_TAKERS = {
+        "lag_limit": lambda kind: lag_limit(PAIR, kind),
+        "peak_value": lambda kind: peak_value(PAIR.M, PAIR.N, kind),
+        "main_peak": lambda kind: main_peak(PAIR, kind),
+        "variance_factor": lambda kind: variance_factor(PAIR, kind),
+        "covariance_curve": lambda kind: covariance_curve(PAIR, kind, GRID, 1.0),
+        "weight_oracle": lambda kind: weight_oracle(PAIR, kind),
+        "weight_terms": lambda kind: weight_terms(PAIR, kind),
+        "weight_closed_form": lambda kind: weight_closed_form(PAIR, kind),
+        "unbiased_window": lambda kind: unbiased_window(PAIR, kind),
+        "bias_biased": lambda kind: bias_biased(PAIR, kind, GRID),
+        "bias_unbiased": lambda kind: bias_unbiased(PAIR, kind, GRID),
+        "relative_amplitude": lambda kind: relative_amplitude(PAIR, kind, GRID),
+        "window_term_curves": lambda kind: window_term_curves(PAIR, kind, GRID),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RANGE_TAKERS))
+    @pytest.mark.parametrize("kind", ["full", "continuous", None])
+    def test_non_range_kind_rejected(self, name, kind):
+        with pytest.raises(OutOfRangeError):
+            self.RANGE_TAKERS[name](kind)
+
+    @pytest.mark.parametrize("scheme", ["extended-full", None, RangeKind.FULL])
+    def test_complexity_requires_scheme(self, scheme):
+        with pytest.raises(OutOfRangeError):
+            complexity(PAIR, scheme)
+
+
+class TestSweepFactors:
+    @pytest.mark.parametrize("factors", [(3.5, 7), (True, 7), (3, 0), (-2, 3), (3, np.float64(7.0))])
+    @pytest.mark.parametrize("kind", list(RangeKind))
+    def test_peak_value_rejects_malformed_factors(self, factors, kind):
+        with pytest.raises(OutOfRangeError):
+            peak_value(*factors, kind)
+
+    @pytest.mark.parametrize("bounds", [(0, 3), (3, 0), (2.5, 2), (True, 2), (2, -3)])
+    def test_variance_sweep_rejects_malformed_bounds_at_call(self, bounds):
+        with pytest.raises(OutOfRangeError):
+            variance_sweep(*bounds)
+
+    def test_variance_sweep_accepts_numpy_bounds(self):
+        assert len(list(variance_sweep(np.int64(2), np.uint8(3)))) == 6
 
 
 class TestNormalizationConstant:
