@@ -248,6 +248,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_tables(args):
+    if args.max < 2:
+        raise OutOfRangeError(f"--max must be at least 2, the smallest factor, got {args.max}")
     grid = FrequencyGrid(args.grid_size)
 
     dof_rows = []

@@ -10,7 +10,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConsistencyError, OutOfRangeError, UnsupportedRegimeError
-from .pair import CoprimePair, check_positive_int, finite_nonnegative, finite_positive
+from .pair import CoprimePair, as_pair, check_positive_int, finite_nonnegative, finite_positive
 from .sets import RangeKind, SetKind, _distinct_positions, dof, lag_limit
 from .spectra import FrequencyGrid, SpectrumCurve, bias_biased, peak_value
 from .weights import _difference_counts
@@ -57,6 +57,7 @@ def variance_factor(
     Equals 1 for the full range at the default s_b = 2M + N - 1; the
     truncated ranges trade resolution for a smaller factor.
     """
+    pair = as_pair(pair)
     if s_b is None:
         s_b = float(pair.sample_count)
     s_b = finite_positive("s_b", s_b)
@@ -77,6 +78,7 @@ def covariance_curve(
     sigma^4 / s_b^2; the window's own 1/s_b is held at 1 so the scale is
     applied exactly once.
     """
+    pair = as_pair(pair)
     sigma2 = finite_nonnegative("sigma2", sigma2)
     if s_b is None:
         s_b = float(pair.sample_count)
@@ -117,6 +119,7 @@ def complexity(pair: CoprimePair, scheme: Scheme) -> ComplexityReport:
     (the closed form is derived for M > N), and ConsistencyError if the
     closed form ever disagrees with the brute-force count.
     """
+    pair = as_pair(pair)
     if not isinstance(scheme, Scheme):
         raise OutOfRangeError(f"scheme must be a Scheme, got {scheme!r}")
     M, N = pair.M, pair.N

@@ -5,6 +5,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable
 
 from .errors import NotCoprimeError, OutOfRangeError
 
@@ -126,3 +127,16 @@ class CoprimePair:
     def swapped(self) -> "CoprimePair":
         """The pair with the roles of the two samplers interchanged."""
         return CoprimePair(self.N, self.M)
+
+
+def as_pair(value: CoprimePair | Iterable[int]) -> CoprimePair:
+    """Coerce a CoprimePair or an (M, N) iterable into a validated pair."""
+    if isinstance(value, CoprimePair):
+        return value
+    try:
+        factors = tuple(value)
+    except TypeError:
+        raise OutOfRangeError(f"expected two factors (M, N), got {value!r}") from None
+    if len(factors) != 2:
+        raise OutOfRangeError(f"expected two factors (M, N), got {factors!r}")
+    return CoprimePair(*factors)

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import OutOfRangeError
-from .pair import CoprimePair, exact_int
+from .pair import CoprimePair, as_pair, exact_int
 
 
 class SetKind(Enum):
@@ -75,6 +75,7 @@ class RangeKind(Enum):
 
 def lag_limit(pair: CoprimePair, range_kind: RangeKind) -> int:
     """Largest lag magnitude covered by `range_kind`."""
+    pair = as_pair(pair)
     if range_kind is RangeKind.FULL:
         return pair.full_lag_limit
     if range_kind is RangeKind.CONTINUOUS:
@@ -130,6 +131,7 @@ def sampler_positions(pair: CoprimePair, extended: bool = True) -> tuple[list[in
     origin belongs to both streams, so the union has 2M + N - 1 distinct
     positions (M + N - 1 for the prototype).
     """
+    pair = as_pair(pair)
     periods = 2 if extended else 1
     return (
         [pair.M * n for n in range(pair.N)],
@@ -187,6 +189,7 @@ def difference_set(pair: CoprimePair, kind: SetKind, extended: bool = True) -> D
     With ``extended=False`` the sets are those of the prototype array
     (``sampler_positions``), whose extension cross parts are empty.
     """
+    pair = as_pair(pair)
     counts = _lag_counts(pair, kind, extended)
     members = np.flatnonzero(counts)
     lags = (members - pair.full_lag_limit).tolist()
@@ -198,6 +201,7 @@ def dof(pair: CoprimePair, kind: SetKind, extended: bool = True) -> int:
 
     With ``extended=False``, of the prototype array's set.
     """
+    pair = as_pair(pair)
     M, N = pair.M, pair.N
     second = 2 * M if extended else M  # samples of the N-spaced stream
     if kind in (SetKind.SELF_M_POS, SetKind.SELF_M_NEG):
@@ -225,6 +229,7 @@ def holes(pair: CoprimePair, upto: int) -> list[int]:
     Empty whenever `upto` stays within the hole-free stretch.  `upto` must
     be a non-negative integer; bools and non-integral values raise.
     """
+    pair = as_pair(pair)
     upto = exact_int("upto", upto)
     if upto < 0:
         raise OutOfRangeError(f"upto must be non-negative, got {upto}")
@@ -268,6 +273,7 @@ def verify_structure(pair: CoprimePair) -> StructureReport:
     sets' presence arrays, and a failing clause reports its smallest
     breaking lag.
     """
+    pair = as_pair(pair)
     M, N = pair.M, pair.N
     limit = pair.full_lag_limit
     run = pair.continuous_lag_limit

@@ -9,13 +9,13 @@ validation, and measures main-lobe/side-lobe geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Mapping
 
 import numpy as np
 
 from .errors import NoSideLobeError, OutOfRangeError, check_residual
-from .pair import CoprimePair, check_positive_int, exact_int, finite_positive
+from .pair import CoprimePair, as_pair, check_positive_int, exact_int, finite_positive
 from .sets import RangeKind, _index_limits, lag_limit
 from .weights import weight_terms
 
@@ -103,49 +103,73 @@ class _HalfGrid:
     """Closed-form window evaluation on the half grid, with exact integer phases.
 
     On the grid, omega_k*c/2 = pi*j/G for the integer j = ((k - G/2)*c) mod
-    2G, formed in int64 with c reduced mod 2G first, so no angle is rounded
-    however large c grows.  Every sine and cosine is read from one table of
-    sin(pi*i/G), i in [0, 2G), built from a single np.sin over the first
-    quadrant and reflected: it is zero exactly at i = 0 and i = G, keeps
-    full relative precision beside them, and is exactly odd about both.
-    The windows have symmetric lag counts and so are even in omega; they
-    are evaluated at k = G/2 ... G, where k = G stands for omega = -pi, and
-    mirrored.  The table lives for one call.
+    2G, so no angle is rounded however large c grows.  Every sine and
+    cosine is read from one table of sin(pi*i/G), built from a single
+    np.sin over the first quadrant and reflected: it is zero exactly at
+    i = 0 and i = G, keeps full relative precision beside them, and is
+    exactly odd about both.  The windows have symmetric lag counts and so
+    are even in omega; they are evaluated at the G/2 + 1 offsets k - G/2 =
+    0 ... G/2, where k = G stands for omega = -pi, and mirrored.
+
+    ``index`` forms the table positions without a remainder over the G/2 +
+    1 offsets: it writes each offset as q*B + r with B about sqrt(G/2), so
+    (offset*c + shift) mod 2G is (q*B*c mod 2G) + ((r*c + shift) mod 2G),
+    two remainders over about sqrt(G/2) values each whose broadcast sum is
+    below 4G.  The table therefore holds two periods, 4G entries, and is
+    read at that sum directly.  With c reduced mod 2G first, q*B*c < G**2,
+    which int64 holds for any grid that fits in memory.  ``dirichlet``
+    keeps the denominator sin(omega*c/2), its zeros and their parity for
+    each factor c it has seen, so terms that share a factor share one
+    gather.  The table and these denominators live for one call.
     """
 
     def __init__(self, grid: FrequencyGrid):
         size = grid.size
         self.grid = grid
         self.period = 2 * size
-        self.offsets = np.arange(size // 2 + 1, dtype=np.int64)
+        self.length = size // 2 + 1
+        block = isqrt(self.length - 1) + 1
+        self.row_starts = np.arange(-(-self.length // block), dtype=np.int64) * block
+        self.row_offsets = np.arange(block, dtype=np.int64)
         quadrant = np.sin(np.arange(size // 2 + 1) * (np.pi / size))
-        table = np.empty(self.period)
+        table = np.empty(2 * self.period)
         table[:size // 2 + 1] = quadrant
         table[size // 2:size + 1] = quadrant[::-1]
-        table[size + 1:] = -table[1:size]
+        table[size + 1:self.period] = -table[1:size]
+        table[self.period:] = table[:self.period]
         self.table = table
+        self.denominators: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def phase(self, c: int) -> np.ndarray:
-        """The integer j of omega*c/2 = pi*j/G at each half-grid point."""
-        return self.offsets * (c % self.period) % self.period
+    def index(self, c: int, shift: int = 0) -> np.ndarray:
+        """Table positions i, below 4G, with i = offset*c + shift (mod 2G) at each offset."""
+        c %= self.period
+        rows = self.row_starts * c % self.period
+        columns = (self.row_offsets * c + shift) % self.period
+        return (rows[:, None] + columns).ravel()[:self.length]
 
     def cos(self, c: int) -> np.ndarray:
         """cos(omega*c/2) = sin(pi*(j + G/2)/G)."""
-        return self.table[(self.offsets * (c % self.period) + self.grid.size // 2) % self.period]
+        return self.table.take(self.index(c, self.grid.size // 2))
 
-    def dirichlet(self, count: int, j: np.ndarray) -> np.ndarray:
-        """sin(count*theta)/sin(theta) at theta = pi*j/G, for integer count >= 0.
+    def dirichlet(self, count: int, c: int) -> np.ndarray:
+        """sin(count*theta)/sin(theta) at theta = omega*c/2, for integer count >= 0.
 
         Where sin(theta) = 0 (j = 0 or G) the value is the exact limit
         count*(-1)**((j//G)*(count - 1)).
         """
-        numerator = self.table[(count % self.period) * j % self.period]
-        denominator = self.table[j]
-        singular = np.flatnonzero(denominator == 0.0)
-        denominator[singular] = 1.0
-        ratio = numerator / denominator
-        flips = (j[singular] // self.grid.size) * (count - 1) % 2
-        ratio[singular] = np.where(flips == 1, -float(count), float(count))
+        if c not in self.denominators:
+            positions = self.index(c)
+            denominator = self.table.take(positions)
+            singular = np.flatnonzero(denominator == 0.0)
+            denominator[singular] = 1.0
+            flipped = singular[positions[singular] // self.grid.size % 2 == 1]
+            self.denominators[c] = denominator, singular, flipped
+        denominator, singular, flipped = self.denominators[c]
+        ratio = self.table.take(self.index(count * c)) / denominator
+        ratio[singular] = float(count)
+        # The sign flips where j//G and count - 1 are both odd.
+        if count % 2 == 0:
+            ratio[flipped] = -float(count)
         return ratio
 
     def curve(self, half: np.ndarray) -> SpectrumCurve:
@@ -226,31 +250,28 @@ def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid)
     with exact integer phases and one sine table on half the grid, then
     mirrored, so the curve is exactly even.
     """
+    pair = as_pair(pair)
     M, N = pair.M, pair.N
     half = _HalfGrid(grid)
     if range_kind is not RangeKind.FULL:
-        return half.curve(half.dirichlet(2 * lag_limit(pair, range_kind) + 1, half.phase(1)))
-    j_m = half.phase(M)
-    j_n = half.phase(N)
+        return half.curve(half.dirichlet(2 * lag_limit(pair, range_kind) + 1, 1))
     cos_mn = half.cos(2 * M * N)
-    self_m = 2.0 * half.cos(M * N) * half.dirichlet(N - 1, j_m)
-    self_n = 2.0 * cos_mn * half.dirichlet(2 * M - 1, j_n)
-    cross = half.dirichlet(N - 1, j_m) * half.dirichlet(M - 1, j_n)
+    self_m = 2.0 * half.cos(M * N) * half.dirichlet(N - 1, M)
+    self_n = 2.0 * cos_mn * half.dirichlet(2 * M - 1, N)
+    cross = half.dirichlet(N - 1, M) * half.dirichlet(M - 1, N)
     values = self_m + self_n + 1.0 + (1.0 + 2.0 * cos_mn) * cross
     return half.curve(values)
 
 
-def _ext_cross_transform(
-    pair: CoprimePair, half: _HalfGrid, j_n: np.ndarray, upper_limits: list[int]
-) -> np.ndarray:
+def _ext_cross_transform(pair: CoprimePair, half: _HalfGrid, upper_limits: list[int]) -> np.ndarray:
     """Transform of the extension-cross term for per-n upper index limits, on the half grid."""
     M, N = pair.M, pair.N
-    total = np.zeros(len(j_n))
+    total = np.zeros(half.length)
     for n in range(1, N):
         upper = upper_limits[n - 1]
         # Twice the centre M*n - M*N/2 - N*(upper + 1)/2 of the n-th run.
         center2 = 2 * M * n - M * N - N * (upper + 1)
-        total += 2.0 * half.cos(center2) * half.dirichlet(upper - M, j_n)
+        total += 2.0 * half.cos(center2) * half.dirichlet(upper - M, N)
     return total
 
 
@@ -270,21 +291,20 @@ def bias_biased(
     the curve is exactly even, and at s_b = 1 its value at omega = 0 equals
     ``main_peak`` exactly.
     """
+    pair = as_pair(pair)
     s_b = finite_positive("s_b", s_b)
     M, N = pair.M, pair.N
     half = _HalfGrid(grid)
-    j_m = half.phase(M)
-    j_n = half.phase(N)
-    self_m = half.dirichlet(N, j_m) ** 2 + half.dirichlet(2 * N - 1, j_m)
-    base_cross = 2.0 * half.dirichlet(N - 1, j_m) * half.dirichlet(M - 1, j_n)
+    self_m = half.dirichlet(N, M) ** 2 + half.dirichlet(2 * N - 1, M)
+    base_cross = 2.0 * half.dirichlet(N - 1, M) * half.dirichlet(M - 1, N)
 
     # Self-N lags N*m, |m| <= K, carry 2M - |m| pairs: a triangle of height
     # K + 1 (the squared Dirichlet kernel) on a flat step of 2M - 1 - K,
     # which is zero on the full range.
     last_self_n, uppers = _index_limits(pair, range_kind)
-    self_n = half.dirichlet(last_self_n + 1, j_n) ** 2
+    self_n = half.dirichlet(last_self_n + 1, N) ** 2
     if last_self_n < 2 * M - 1:
-        self_n = self_n + (2 * M - 1 - last_self_n) * half.dirichlet(2 * last_self_n + 1, j_n)
+        self_n = self_n + (2 * M - 1 - last_self_n) * half.dirichlet(2 * last_self_n + 1, N)
 
     if range_kind is RangeKind.FULL:
         # The full-range form groups the base and extension cross terms
@@ -292,7 +312,7 @@ def bias_biased(
         cross = (1.0 + half.cos(2 * M * N)) * base_cross
         values = self_m + self_n + cross - 2.0
     else:
-        values = self_m + self_n + base_cross + _ext_cross_transform(pair, half, j_n, uppers) - 2.0
+        values = self_m + self_n + base_cross + _ext_cross_transform(pair, half, uppers) - 2.0
     return half.curve(values / s_b)
 
 
@@ -336,6 +356,7 @@ def peak_value(M: int, N: int, range_kind: RangeKind) -> int:
 
 def main_peak(pair: CoprimePair, range_kind: RangeKind) -> int:
     """Main-lobe peak of the biased window at s_b = 1 (equals the weight sum)."""
+    pair = as_pair(pair)
     return peak_value(pair.M, pair.N, range_kind)
 
 
@@ -408,6 +429,7 @@ def relative_amplitude(
     continuous range the default grid reports R = 0.5844 at omega = -0.3064,
     a 2^20-point grid 0.5829 at -0.1531.
     """
+    pair = as_pair(pair)
     if grid is None:
         grid = FrequencyGrid(16384)
     curve = bias_biased(pair, range_kind, grid, s_b=s_b)
@@ -428,6 +450,7 @@ def window_term_curves(
     The four curves sum to the biased window; emitted by the CLI so each
     term's contribution to the bias can be plotted separately.
     """
+    pair = as_pair(pair)
     curves = {}
     for name, term in weight_terms(pair, range_kind).items():
         # Only non-zero lags fold: self-M and self-N have O(M + N) of the range's O(MN).

@@ -2,24 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .errors import OutOfRangeError
-from .pair import CoprimePair, check_positive_int  # noqa: F401 - re-exported
+from .pair import as_pair, check_positive_int  # noqa: F401 - re-exported
 from .sets import RangeKind
 from .spectra import FrequencyGrid
-
-
-def as_pair(value: CoprimePair | Iterable[int]) -> CoprimePair:
-    """Coerce a CoprimePair or an (M, N) iterable into a validated pair."""
-    if isinstance(value, CoprimePair):
-        return value
-    factors = tuple(value)
-    if len(factors) != 2:
-        raise OutOfRangeError(f"expected two factors (M, N), got {factors!r}")
-    return CoprimePair(*factors)
 
 
 def as_range_kind(value: RangeKind | str) -> RangeKind:

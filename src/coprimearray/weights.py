@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .pair import CoprimePair
+from .pair import CoprimePair, as_pair
 from .sets import (RangeKind, SetKind, _cross_differences, _distinct_positions, _index_limits,
                    _lag_counts, lag_limit)
 
@@ -115,6 +115,7 @@ def weight_oracle(pair: CoprimePair, range_kind: RangeKind) -> WeightFunction:
     2M + N - 1 distinct positions; the pair (origin, origin) is counted
     once.  Lags beyond the range limit are dropped.
     """
+    pair = as_pair(pair)
     limit = lag_limit(pair, range_kind)
     tally = _difference_counts(_distinct_positions(pair), limit)
     return WeightFunction(pair, range_kind, _LagCounts(tally))
@@ -143,6 +144,7 @@ def weight_terms(pair: CoprimePair, range_kind: RangeKind) -> dict[str, _LagCoun
     ``ext_cross``: single contributors from the extension period, mirrored
     to both signs, minus one at lag 0.
     """
+    pair = as_pair(pair)
     M, N = pair.M, pair.N
     limit = lag_limit(pair, range_kind)
     size = 2 * limit + 1
@@ -175,6 +177,7 @@ def weight_terms(pair: CoprimePair, range_kind: RangeKind) -> dict[str, _LagCoun
 
 def weight_closed_form(pair: CoprimePair, range_kind: RangeKind) -> WeightFunction:
     """Closed-form weight function: the sum of the four term arrays."""
+    pair = as_pair(pair)
     total = sum(term.array for term in weight_terms(pair, range_kind).values())
     return WeightFunction(pair, range_kind, _LagCounts(total))
 
@@ -185,6 +188,7 @@ def unbiased_window(pair: CoprimePair, range_kind: RangeKind) -> UnbiasedWindow:
     Identically 1 on the continuous and prototype ranges; on the full range
     it is the presence array of the cross union set, 0 at its holes.
     """
+    pair = as_pair(pair)
     if range_kind is RangeKind.FULL:
         indicator = _lag_counts(pair, SetKind.CROSS_UNION)
     else:

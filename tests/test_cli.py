@@ -134,6 +134,13 @@ class TestTablesCommand:
         assert abs(r_proto - 0.565) <= 0.01
         assert abs(float(rows[("3", "4")][0]) - 0.683) <= 0.01
 
+    @pytest.mark.parametrize("bound", ["0", "1", "-3"])
+    def test_bound_below_smallest_factor_is_config_error(self, bound, tmp_path, capsys):
+        argv = ["tables", "--max", bound, "--grid-size", "1024", "-o", str(tmp_path)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "OutOfRangeError"
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigHandling:
     def test_not_coprime_is_config_error(self, tmp_path, capsys):

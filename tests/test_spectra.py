@@ -26,7 +26,8 @@ from coprimearray import (
     window_term_curves,
 )
 from coprimearray.errors import CHECK_RTOL
-from coprimearray.spectra import _floor_sum, _strict_maxima, peak_value
+from coprimearray import spectra
+from coprimearray.spectra import _floor_sum, _HalfGrid, _strict_maxima, peak_value
 
 GRID = FrequencyGrid(4096)
 
@@ -240,6 +241,54 @@ class TestBiasedBias:
     def test_s_b_must_be_positive(self):
         with pytest.raises(OutOfRangeError):
             bias_biased(CoprimePair(4, 3), RangeKind.FULL, GRID, s_b=0.0)
+
+
+class _DirectIndexHalfGrid(_HalfGrid):
+    """Reference: the table positions by one remainder over every half-grid offset."""
+
+    def index(self, c, shift=0):
+        offsets = np.arange(self.length, dtype=np.int64)
+        return (offsets * (c % self.period) + shift) % self.period
+
+
+class TestHalfGridIndex:
+    @pytest.mark.parametrize("size", [1024, 4098, 12346, 16384])
+    @pytest.mark.parametrize("c", [0, 1, -5, "G", "2G", 2 * 40 * 41, 2 * 10**4 * 10**4, 10**12 + 3])
+    @pytest.mark.parametrize("shift", [0, "G/2"])
+    def test_two_level_index_equals_direct_remainder(self, size, c, shift):
+        c = {"G": size, "2G": 2 * size}.get(c, c)
+        shift = size // 2 if shift == "G/2" else shift
+        index = _HalfGrid(FrequencyGrid(size)).index(c, shift)
+        direct = (np.arange(size // 2 + 1, dtype=np.int64) * c + shift) % (2 * size)
+        assert len(index) == size // 2 + 1
+        assert index.min() >= 0 and index.max() < 4 * size
+        assert np.array_equal(index % (2 * size), direct)
+
+    def test_singular_points_take_the_exact_limit(self):
+        # theta = omega*c/2 is 0 at omega = 0 and pi at omega = -pi for c = 2;
+        # the limit there is count*(-1)**(count - 1).
+        half = _HalfGrid(FrequencyGrid(1024))
+        for count in (0, 1, 4, 5):
+            ratio = half.dirichlet(count, 2)
+            assert ratio[0] == count
+            assert ratio[-1] == count * (-1) ** (count - 1)
+
+    def test_one_denominator_per_factor(self):
+        half = _HalfGrid(FrequencyGrid(1024))
+        for count in (3, 5, 8):
+            half.dirichlet(count, 7)
+        half.dirichlet(2, 3)
+        assert sorted(half.denominators) == [3, 7]
+
+    @pytest.mark.parametrize("size", [4098, 16384])
+    @pytest.mark.parametrize("M,N", [(3, 4), (9, 8), (40, 41), (1000, 1001)])
+    def test_curves_equal_direct_index_reference(self, size, M, N, monkeypatch):
+        pair, grid = CoprimePair(M, N), FrequencyGrid(size)
+        transforms = (bias_biased, bias_unbiased)
+        package = [f(pair, kind, grid).values for f in transforms for kind in RangeKind]
+        monkeypatch.setattr(spectra, "_HalfGrid", _DirectIndexHalfGrid)
+        reference = [f(pair, kind, grid).values for f in transforms for kind in RangeKind]
+        assert all(map(np.array_equal, package, reference))
 
 
 class TestMainPeak:

@@ -1,14 +1,21 @@
 """Input validation: integers are validated, never truncated."""
 
+import dataclasses
+import inspect
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
+import coprimearray
 from coprimearray import (
     CoprimeCorrelogram,
     CoprimePair,
     FrequencyGrid,
     OutOfRangeError,
     RangeKind,
+    Scheme,
+    SetKind,
     SignalModel,
     ToneComponent,
     autocorrelation,
@@ -68,6 +75,72 @@ class TestAsPair:
     def test_fractional_factor_rejected(self):
         with pytest.raises(OutOfRangeError):
             as_pair((3.5, 7))
+
+    @pytest.mark.parametrize("value", [None, 5, (3,), (3, 7, 2)])
+    def test_not_two_factors_rejected(self, value):
+        with pytest.raises(OutOfRangeError):
+            as_pair(value)
+
+
+def _same(first, second):
+    """Equal results: arrays element for element, records and mappings field by field."""
+    if type(first) is not type(second):
+        return False
+    if isinstance(first, np.ndarray):
+        return np.array_equal(first, second)
+    if dataclasses.is_dataclass(first):
+        return all(_same(getattr(first, field.name), getattr(second, field.name))
+                   for field in dataclasses.fields(first))
+    if isinstance(first, Mapping):
+        return first.keys() == second.keys() and all(_same(first[k], second[k]) for k in first)
+    if isinstance(first, (list, tuple)):
+        return len(first) == len(second) and all(map(_same, first, second))
+    return first == second
+
+
+def _pair_first_functions():
+    """Names of the public functions whose first parameter is the pair."""
+    names = []
+    for name in coprimearray.__all__:
+        value = getattr(coprimearray, name)
+        if inspect.isfunction(value) and next(iter(inspect.signature(value).parameters)) == "pair":
+            names.append(name)
+    return sorted(names)
+
+
+class TestPairTuplesAccepted:
+    """Every public function that takes a pair first accepts a plain (M, N) tuple."""
+
+    # The arguments after the pair, per function.
+    REST = {
+        "bias_biased": (RangeKind.CONTINUOUS, GRID),
+        "bias_unbiased": (RangeKind.FULL, GRID),
+        "complexity": (Scheme.EXTENDED_FULL,),
+        "covariance_curve": (RangeKind.FULL, GRID, 1.0),
+        "difference_set": (SetKind.CROSS_UNION,),
+        "dof": (SetKind.CROSS_UNION,),
+        "holes": (20,),
+        "lag_limit": (RangeKind.CONTINUOUS,),
+        "main_peak": (RangeKind.PROTOTYPE,),
+        "relative_amplitude": (RangeKind.FULL, GRID),
+        "sampler_positions": (),
+        "unbiased_window": (RangeKind.FULL,),
+        "variance_factor": (RangeKind.CONTINUOUS,),
+        "verify_structure": (),
+        "weight_closed_form": (RangeKind.FULL,),
+        "weight_oracle": (RangeKind.FULL,),
+        "weight_terms": (RangeKind.PROTOTYPE,),
+        "window_term_curves": (RangeKind.FULL, GRID),
+    }
+
+    def test_every_pair_taker_is_covered(self):
+        assert sorted(self.REST) == _pair_first_functions()
+
+    @pytest.mark.parametrize("name", _pair_first_functions())
+    def test_tuple_gives_the_pair_result(self, name):
+        function = getattr(coprimearray, name)
+        rest = self.REST[name]
+        assert _same(function((PAIR.M, PAIR.N), *rest), function(PAIR, *rest))
 
 
 class TestAsGrid:
