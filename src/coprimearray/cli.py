@@ -34,7 +34,7 @@ from .errors import (
 from .estimator import SignalModel, ToneComponent, average_correlogram, detect_peaks
 from .metrics import Scheme, complexity, variance_factor, variance_sweep
 from .pair import CoprimePair
-from .sets import DifferenceSet, RangeKind, SetKind, difference_set, dof
+from .sets import DifferenceSet, RangeKind, SetKind, as_range_kind, difference_set, dof
 from .spectra import (
     FrequencyGrid,
     _lag_transform,
@@ -44,7 +44,6 @@ from .spectra import (
     relative_amplitude,
     window_term_curves,
 )
-from .validation import as_range_kind
 from .weights import unbiased_window, weight_closed_form, weight_oracle
 
 ENV_OUTDIR = "COPRIMEARRAY_OUTDIR"

@@ -21,8 +21,16 @@ from .errors import (
     NotFittedError,
     OutOfRangeError,
 )
-from .pair import CoprimePair, exact_int, finite_nonnegative, finite_positive, finite_real
-from .sets import RangeKind, _distinct_positions, lag_limit
+from .pair import (
+    CoprimePair,
+    as_pair,
+    check_positive_int,
+    exact_int,
+    finite_nonnegative,
+    finite_positive,
+    finite_real,
+)
+from .sets import RangeKind, _distinct_positions, as_range_kind, lag_limit
 from .spectra import (
     FrequencyGrid,
     SpectrumCurve,
@@ -32,14 +40,7 @@ from .spectra import (
     _lag_transform,
     _part_index,
     _strict_maxima,
-)
-from .validation import (
-    _one_dimensional,
     as_grid,
-    as_pair,
-    as_range_kind,
-    check_positive_int,
-    check_stream,
 )
 from .weights import weight_closed_form
 
@@ -127,6 +128,24 @@ def generate_signal(model: SignalModel, length: int, realization: int = 0) -> np
         scale = np.sqrt(model.noise_power / 2.0)
         x += scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
     return x
+
+
+def _one_dimensional(values: object) -> np.ndarray:
+    """`values` as an array, which must be one-dimensional."""
+    stream = np.asarray(values)
+    if stream.ndim != 1:
+        raise OutOfRangeError(f"sample stream must be one-dimensional, got shape {stream.shape}")
+    return stream
+
+
+def check_stream(values: object) -> np.ndarray:
+    """Validate a sample stream: one-dimensional, finite, complex-valued."""
+    stream = np.ascontiguousarray(_one_dimensional(values), dtype=np.complex128)
+    # A contiguous complex array is its real and imaginary parts
+    # interleaved, so one pass over the float view checks both.
+    if not np.isfinite(stream.view(np.float64)).all():
+        raise OutOfRangeError("sample stream contains non-finite values")
+    return stream
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +246,8 @@ class AutocorrEstimate:
     snapshots_used: int = 1
 
     def value(self, lag: int) -> complex:
+        """The estimate at integer `lag`; bools and non-integral lags raise OutOfRangeError."""
+        lag = exact_int("lag", lag)
         limit = (len(self.lags) - 1) // 2
         if abs(lag) > limit:
             raise OutOfRangeError(f"|lag|={abs(lag)} outside the estimate's range {limit}")
@@ -353,10 +374,10 @@ def autocorrelation(
 def correlogram(estimate: AutocorrEstimate, grid: FrequencyGrid | int) -> SpectrumCurve:
     """Transform of the autocorrelation estimate on the frequency grid.
 
-    The transform of ``spectra.dtft_of_window``: the lags fold mod G with
-    the sign (-1)^l and one FFT follows, in O(lags + G log G); the imaginary
-    residual is checked against the folded values' absolute sum, at most
-    sum |values|, and discarded.  ``fit`` and ``average_correlogram`` do not
+    The window oracle's transform, ``spectra._lag_transform``: the lags
+    fold mod G with the sign (-1)^l and one FFT follows, in O(lags +
+    G log G); the imaginary residual is checked against the folded values'
+    absolute sum, at most sum |values|, and discarded.  ``fit`` and ``average_correlogram`` do not
     build an estimate: their kernel folds the lag sums of the Gram directly.
     """
     grid = as_grid(grid)

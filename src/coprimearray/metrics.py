@@ -68,7 +68,7 @@ def variance_factor(
 def covariance_curve(
     pair: CoprimePair,
     range_kind: RangeKind,
-    grid: FrequencyGrid,
+    grid: FrequencyGrid | int,
     sigma2: float,
     s_b: float | None = None,
 ) -> SpectrumCurve:
@@ -85,7 +85,7 @@ def covariance_curve(
     s_b = finite_positive("s_b", s_b)
     window = bias_biased(pair, range_kind, grid, s_b=1.0)
     scale = sigma2 * sigma2 / (s_b * s_b)
-    return SpectrumCurve(grid, window.values * scale)
+    return SpectrumCurve(window.grid, window.values * scale)
 
 
 def _cost_from_weights(counts: np.ndarray) -> tuple[int, int]:

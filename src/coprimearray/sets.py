@@ -73,6 +73,17 @@ class RangeKind(Enum):
     PROTOTYPE = "prototype"
 
 
+def as_range_kind(value: RangeKind | str) -> RangeKind:
+    """Coerce a RangeKind or its string name ('full', 'continuous', 'prototype')."""
+    if isinstance(value, RangeKind):
+        return value
+    try:
+        return RangeKind(str(value).lower())
+    except ValueError:
+        choices = ", ".join(kind.value for kind in RangeKind)
+        raise OutOfRangeError(f"unknown lag range {value!r}; choose one of {choices}") from None
+
+
 def lag_limit(pair: CoprimePair, range_kind: RangeKind) -> int:
     """Largest lag magnitude covered by `range_kind`."""
     pair = as_pair(pair)

@@ -2,15 +2,15 @@
 
 The lag-domain weight functions act as windows that the correlogram
 convolves with the true spectrum.  This module evaluates their transforms
-in closed form on a frequency grid, provides a direct transform oracle for
-validation, and measures main-lobe/side-lobe geometry.
+in closed form on a frequency grid, holds the one lag-to-frequency
+transform (the correlogram's, and the oracle of every closed form), and
+measures main-lobe/side-lobe geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Mapping
 
 import numpy as np
 
@@ -53,6 +53,13 @@ class FrequencyGrid:
         return isinstance(other, FrequencyGrid) and other.size == self.size
 
 
+def as_grid(value: FrequencyGrid | int) -> FrequencyGrid:
+    """Coerce a FrequencyGrid or an integer grid size; 4096.9 is rejected, not truncated."""
+    if isinstance(value, FrequencyGrid):
+        return value
+    return FrequencyGrid(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumCurve:
     """Real-valued curve sampled on a frequency grid."""
@@ -80,23 +87,6 @@ class PeakReport:
     side_peak: float
     side_peak_omega: float
     relative_amplitude: float
-
-
-def dirichlet_ratio(count: int, theta: np.ndarray) -> np.ndarray:
-    """sin(count*theta)/sin(theta) with exact limits at multiples of pi.
-
-    Valid for integer `count` >= 0, where the ratio extends analytically to
-    ``count * (-1)**(k*(count-1))`` at ``theta = k*pi``.  Evaluated through
-    the offset from the nearest multiple of pi, which keeps full relative
-    precision arbitrarily close to the singular points.
-    """
-    theta = np.asarray(theta, dtype=float)
-    nearest = np.round(theta / np.pi)
-    delta = theta - nearest * np.pi
-    sign = np.where((nearest.astype(np.int64) * (count - 1)) % 2 == 0, 1.0, -1.0)
-    regular = delta != 0.0
-    safe = np.where(regular, delta, 1.0)
-    return sign * np.where(regular, np.sin(count * safe) / np.sin(safe), float(count))
 
 
 class _HalfGrid:
@@ -222,27 +212,17 @@ def _lag_transform(lags: np.ndarray, values: np.ndarray, grid: FrequencyGrid, wh
 
     exp(-i*omega_k*l) = (-1)^l * exp(-2*pi*i*k*l/G), so the lags fold mod G
     with the sign (-1)^l, exactly for any lag range, and one FFT evaluates
-    the transform.
+    the transform in O(lags + G log G).  The package's one lag-to-frequency
+    transform: ``correlogram`` calls it on an estimate, and on a window's
+    lag counts it is the direct oracle for the closed forms.  Raises
+    ConsistencyError if the imaginary part exceeds the relative check bound
+    of the folded values' absolute sum, at most sum |values|.
     """
     signed = np.where(lags % 2 == 0, values, -values)
     return _grid_transform(_bin(_part_index(lags % grid.size), signed, grid.size), grid, what)
 
 
-def dtft_of_window(counts: Mapping[int, float], grid: FrequencyGrid) -> SpectrumCurve:
-    """Direct transform of a symmetric lag window; the oracle for all closed forms.
-
-    Evaluates ``sum_l counts[l] * exp(-i*omega*l)`` exactly on the G-point
-    grid by folding the lags mod G and one FFT, in O(lags + G log G), and
-    raises ConsistencyError if its imaginary part (zero for symmetric
-    counts) exceeds the relative check bound of the folded counts' absolute
-    sum, which is at most ``sum_l |counts[l]|``.
-    """
-    lags = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    values = np.fromiter(counts.values(), dtype=float, count=len(counts))
-    return _lag_transform(lags, values, grid, "window transform")
-
-
-def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid) -> SpectrumCurve:
+def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid | int) -> SpectrumCurve:
     """Transform of the 0/1 availability window, in closed form.
 
     The continuous and prototype ranges give a plain Dirichlet kernel; the
@@ -252,7 +232,7 @@ def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid)
     """
     pair = as_pair(pair)
     M, N = pair.M, pair.N
-    half = _HalfGrid(grid)
+    half = _HalfGrid(as_grid(grid))
     if range_kind is not RangeKind.FULL:
         return half.curve(half.dirichlet(2 * lag_limit(pair, range_kind) + 1, 1))
     cos_mn = half.cos(2 * M * N)
@@ -278,7 +258,7 @@ def _ext_cross_transform(pair: CoprimePair, half: _HalfGrid, upper_limits: list[
 def bias_biased(
     pair: CoprimePair,
     range_kind: RangeKind,
-    grid: FrequencyGrid,
+    grid: FrequencyGrid | int,
     s_b: float = 1.0,
 ) -> SpectrumCurve:
     """Transform of the pair-count weight window, in closed form, over s_b.
@@ -294,7 +274,7 @@ def bias_biased(
     pair = as_pair(pair)
     s_b = finite_positive("s_b", s_b)
     M, N = pair.M, pair.N
-    half = _HalfGrid(grid)
+    half = _HalfGrid(as_grid(grid))
     self_m = half.dirichlet(N, M) ** 2 + half.dirichlet(2 * N - 1, M)
     base_cross = 2.0 * half.dirichlet(N - 1, M) * half.dirichlet(M - 1, N)
 
@@ -382,14 +362,9 @@ def _main_lobe(curve: SpectrumCurve) -> tuple[int, int]:
     return left, right
 
 
-def main_lobe_edge(curve: SpectrumCurve) -> int:
-    """Grid index of the first local minimum at or above omega = 0 (plateaus are crossed)."""
-    return _main_lobe(curve)[1]
-
-
 def main_lobe_half_width(curve: SpectrumCurve) -> float:
     """Frequency of the first local minimum above omega = 0."""
-    return float(curve.omega[main_lobe_edge(curve)])
+    return float(curve.omega[_main_lobe(curve)[1]])
 
 
 def side_lobe_peak(curve: SpectrumCurve) -> tuple[float, float]:
@@ -414,7 +389,7 @@ def side_lobe_peak(curve: SpectrumCurve) -> tuple[float, float]:
 def relative_amplitude(
     pair: CoprimePair,
     range_kind: RangeKind,
-    grid: FrequencyGrid | None = None,
+    grid: FrequencyGrid | int | None = None,
     s_b: float = 1.0,
 ) -> PeakReport:
     """Relative amplitude (P_m - P_s) / P_m of the biased window.
@@ -430,9 +405,7 @@ def relative_amplitude(
     a 2^20-point grid 0.5829 at -0.1531.
     """
     pair = as_pair(pair)
-    if grid is None:
-        grid = FrequencyGrid(16384)
-    curve = bias_biased(pair, range_kind, grid, s_b=s_b)
+    curve = bias_biased(pair, range_kind, 16384 if grid is None else grid, s_b=s_b)
     peak_main = main_peak(pair, range_kind) / s_b
     omega_side, peak_side = side_lobe_peak(curve)
     ratio = (peak_main - peak_side) / peak_main
@@ -442,7 +415,7 @@ def relative_amplitude(
 def window_term_curves(
     pair: CoprimePair,
     range_kind: RangeKind,
-    grid: FrequencyGrid,
+    grid: FrequencyGrid | int,
     s_b: float = 1.0,
 ) -> dict[str, SpectrumCurve]:
     """Per-term transforms of the weight window (direct transform of each term).
@@ -451,6 +424,7 @@ def window_term_curves(
     term's contribution to the bias can be plotted separately.
     """
     pair = as_pair(pair)
+    grid = as_grid(grid)
     curves = {}
     for name, term in weight_terms(pair, range_kind).items():
         # Only non-zero lags fold: self-M and self-N have O(M + N) of the range's O(MN).

@@ -26,7 +26,6 @@ from coprimearray import (
     detect_peaks,
     difference_set,
     dof,
-    dtft_of_window,
     generate_signal,
     main_peak,
     relative_amplitude,
@@ -37,6 +36,8 @@ from coprimearray import (
     weight_oracle,
 )
 from coprimearray.errors import NotEnoughPeaksError
+
+from reference import dtft_of_window
 
 TABLE_ONE_KINDS = [
     SetKind.SELF_M_POS, SetKind.SELF_M_NEG, SetKind.SELF_N_POS, SetKind.SELF_N_NEG,

@@ -23,7 +23,6 @@ from coprimearray import (
     bias_biased,
     correlogram,
     detect_peaks,
-    dirichlet_ratio,
     generate_signal,
     lag_limit,
     sample_snapshot,
@@ -31,6 +30,8 @@ from coprimearray import (
     weight_oracle,
 )
 from coprimearray.estimator import _SINGLE_THREAD_MACS, _gram, _gram_blocks, _structure
+
+from reference import dirichlet_ratio
 
 PAIR = CoprimePair(4, 3)
 GRID = FrequencyGrid(1024)

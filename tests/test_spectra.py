@@ -14,8 +14,6 @@ from coprimearray import (
     bias_biased,
     bias_unbiased,
     detect_peaks,
-    dirichlet_ratio,
-    dtft_of_window,
     main_lobe_half_width,
     main_peak,
     relative_amplitude,
@@ -28,6 +26,8 @@ from coprimearray import (
 from coprimearray.errors import CHECK_RTOL
 from coprimearray import spectra
 from coprimearray.spectra import _floor_sum, _HalfGrid, _strict_maxima, peak_value
+
+from reference import dirichlet_ratio, dtft_of_window
 
 GRID = FrequencyGrid(4096)
 

@@ -9,6 +9,7 @@ import pytest
 
 import coprimearray
 from coprimearray import (
+    SINGLE_TONE_DEMO,
     CoprimeCorrelogram,
     CoprimePair,
     FrequencyGrid,
@@ -19,9 +20,11 @@ from coprimearray import (
     SignalModel,
     ToneComponent,
     autocorrelation,
+    average_correlogram,
     bias_biased,
     bias_unbiased,
     complexity,
+    correlogram,
     covariance_curve,
     generate_signal,
     lag_limit,
@@ -38,7 +41,9 @@ from coprimearray import (
     window_term_curves,
 )
 from coprimearray.cli import main
-from coprimearray.validation import as_grid, as_pair, check_positive_int, check_stream
+from coprimearray.estimator import check_stream
+from coprimearray.pair import as_pair, check_positive_int
+from coprimearray.spectra import as_grid
 
 PAIR = CoprimePair(4, 3)
 STREAM = np.ones(PAIR.period, dtype=complex)
@@ -159,6 +164,44 @@ class TestAsGrid:
             CoprimeCorrelogram(3, 7, grid_size=4096.9).fit(stream)
 
 
+def _grid_taking_functions():
+    """Names of the public functions with a parameter named ``grid``."""
+    names = []
+    for name in coprimearray.__all__:
+        value = getattr(coprimearray, name)
+        if inspect.isfunction(value) and "grid" in inspect.signature(value).parameters:
+            names.append(name)
+    return sorted(names)
+
+
+class TestGridSizesAccepted:
+    """Every public function that takes a grid accepts an integer grid size."""
+
+    # Each function called with the given grid.
+    CALLS = {
+        "average_correlogram": lambda grid: average_correlogram(SINGLE_TONE_DEMO, PAIR, 2, grid=grid),
+        "bias_biased": lambda grid: bias_biased(PAIR, RangeKind.CONTINUOUS, grid),
+        "bias_unbiased": lambda grid: bias_unbiased(PAIR, RangeKind.FULL, grid),
+        "correlogram": lambda grid: correlogram(autocorrelation(sample_snapshot(STREAM, PAIR, 0), PAIR), grid),
+        "covariance_curve": lambda grid: covariance_curve(PAIR, RangeKind.FULL, grid, 1.0),
+        "relative_amplitude": lambda grid: relative_amplitude(PAIR, RangeKind.FULL, grid),
+        "window_term_curves": lambda grid: window_term_curves(PAIR, RangeKind.FULL, grid),
+    }
+
+    def test_every_grid_taker_is_covered(self):
+        assert sorted(self.CALLS) == _grid_taking_functions()
+
+    @pytest.mark.parametrize("name", _grid_taking_functions())
+    def test_size_gives_the_grid_result(self, name):
+        call = self.CALLS[name]
+        assert _same(call(4096), call(FrequencyGrid(4096)))
+
+    @pytest.mark.parametrize("name", _grid_taking_functions())
+    def test_fractional_size_rejected(self, name):
+        with pytest.raises(OutOfRangeError):
+            self.CALLS[name](4096.9)
+
+
 class TestRangeKindRequired:
     """A range given by name, or None, raises instead of reading as the prototype range."""
 
@@ -256,6 +299,20 @@ class TestCheckStream:
     def test_complex64_non_finite_rejected(self):
         with pytest.raises(OutOfRangeError):
             check_stream(np.array([1.0, complex(2.0, float("inf"))], dtype=np.complex64))
+
+
+class TestEstimateLag:
+    """``AutocorrEstimate.value`` takes an integer lag; bools and fractions raise."""
+
+    ESTIMATE = autocorrelation(sample_snapshot(STREAM, PAIR, 0), PAIR)
+
+    @pytest.mark.parametrize("lag", [1.5, True])
+    def test_non_integer_lag_rejected(self, lag):
+        with pytest.raises(OutOfRangeError):
+            self.ESTIMATE.value(lag)
+
+    def test_numpy_integer_lag_accepted(self):
+        assert self.ESTIMATE.value(np.int64(-5)) == self.ESTIMATE.value(-5)
 
 
 class TestSignalParameters:
