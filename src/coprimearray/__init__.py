@@ -21,19 +21,14 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .estimator import (
-    SINGLE_TONE_DEMO,
-    THREE_TONE_DEMO,
     AutocorrEstimate,
     CoprimeCorrelogram,
     SignalModel,
-    SnapshotData,
     ToneComponent,
     autocorrelation,
-    average_correlogram,
     correlogram,
     detect_peaks,
     generate_signal,
-    sample_snapshot,
     tones,
 )
 from .metrics import (
@@ -104,18 +99,14 @@ __all__ = [
     "Scheme",
     "SetKind",
     "SignalModel",
-    "SINGLE_TONE_DEMO",
-    "SnapshotData",
     "SpectrumCurve",
     "StructureReport",
-    "THREE_TONE_DEMO",
     "ToneComponent",
     "UnbiasedWindow",
     "UnsupportedRegimeError",
     "VarianceReport",
     "WeightFunction",
     "autocorrelation",
-    "average_correlogram",
     "bias_biased",
     "bias_unbiased",
     "complexity",
@@ -131,7 +122,6 @@ __all__ = [
     "main_peak",
     "peak_value",
     "relative_amplitude",
-    "sample_snapshot",
     "sampler_positions",
     "side_lobe_peak",
     "tones",

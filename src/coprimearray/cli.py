@@ -31,9 +31,9 @@ from .errors import (
     UnsupportedRegimeError,
     check_residual,
 )
-from .estimator import SignalModel, ToneComponent, average_correlogram, detect_peaks
+from .estimator import CoprimeCorrelogram, SignalModel, ToneComponent, generate_signal
 from .metrics import Scheme, complexity, variance_factor, variance_sweep
-from .pair import CoprimePair
+from .pair import CoprimePair, check_positive_int
 from .sets import DifferenceSet, RangeKind, SetKind, as_range_kind, difference_set, dof
 from .spectra import (
     FrequencyGrid,
@@ -221,6 +221,7 @@ def _cmd_estimate(args):
     pair = _pair_from(args)
     range_kind = as_range_kind(args.range)
     grid = FrequencyGrid(args.grid_size)
+    snapshots = check_positive_int("--snapshots", args.snapshots)
     frequencies = args.freq if args.freq else [0.4]
     amplitudes = list(args.amp) if args.amp else []
     amplitudes += [1.0] * (len(frequencies) - len(amplitudes))
@@ -233,16 +234,15 @@ def _cmd_estimate(args):
         noise_power=args.noise,
         seed=args.seed,
     )
-    curve = average_correlogram(
-        model, pair, args.snapshots, range_kind, grid,
-        s_b=_s_b(args, pair),
-    )
-    peaks = detect_peaks(curve, min(len(frequencies), 3))
-    for omega, value in peaks:
+    estimator = CoprimeCorrelogram(
+        pair.M, pair.N, snapshots=snapshots, lag_range=range_kind.value,
+        s_b=_s_b(args, pair), grid_size=grid.size,
+    ).fit(generate_signal(model, pair.period * snapshots))
+    for omega, value in estimator.peaks(min(len(frequencies), 3)):
         print(f"peak: omega={_fmt(omega)} ({_fmt(omega / math.pi)} pi) power={_fmt(value)}")
-    rows = [[float(o), float(v)] for o, v in zip(curve.omega, curve.values)]
+    rows = [[float(o), float(v)] for o, v in zip(estimator.omega_, estimator.spectrum_)]
     stem = (f"estimate_M{pair.M}_N{pair.N}_{range_kind.value}"
-            f"_L{args.snapshots}_seed{args.seed}")
+            f"_L{snapshots}_seed{args.seed}")
     return [(stem, ["omega", "power"], rows)]
 
 

@@ -96,16 +96,6 @@ def tones(*frequencies: float, amplitude: float = 1.0) -> tuple[ToneComponent, .
     return tuple(ToneComponent(freq, amplitude) for freq in frequencies)
 
 
-#: Default single-tone test signal: one random-phase tone at 0.4*pi over a
-#: noise floor of 0.1.
-SINGLE_TONE_DEMO = SignalModel(tones(0.4 * np.pi), noise_power=0.1)
-
-#: Default three-tone test signal.  The 0.2*pi spacing sits comfortably
-#: above the resolution of the short lag windows this package targets;
-#: closer spacings merge into one lobe for small (M, N).
-THREE_TONE_DEMO = SignalModel(tones(0.3 * np.pi, 0.5 * np.pi, 0.7 * np.pi), noise_power=0.1)
-
-
 def generate_signal(model: SignalModel, length: int, realization: int = 0) -> np.ndarray:
     """Synthesize `length` Nyquist-rate samples of the model.
 
@@ -130,59 +120,17 @@ def generate_signal(model: SignalModel, length: int, realization: int = 0) -> np
     return x
 
 
-def _one_dimensional(values: object) -> np.ndarray:
-    """`values` as an array, which must be one-dimensional."""
+def check_stream(values: object) -> np.ndarray:
+    """Validate a sample stream: one-dimensional, finite, complex-valued."""
     stream = np.asarray(values)
     if stream.ndim != 1:
         raise OutOfRangeError(f"sample stream must be one-dimensional, got shape {stream.shape}")
-    return stream
-
-
-def check_stream(values: object) -> np.ndarray:
-    """Validate a sample stream: one-dimensional, finite, complex-valued."""
-    stream = np.ascontiguousarray(_one_dimensional(values), dtype=np.complex128)
+    stream = np.ascontiguousarray(stream, dtype=np.complex128)
     # A contiguous complex array is its real and imaginary parts
     # interleaved, so one pass over the float view checks both.
     if not np.isfinite(stream.view(np.float64)).all():
         raise OutOfRangeError("sample stream contains non-finite values")
     return stream
-
-
-@dataclass(frozen=True, eq=False)
-class SnapshotData:
-    """Samples retained by the co-prime samplers over one snapshot.
-
-    `positions` are local Nyquist indices in [0, 2MN), exactly the
-    2M + N - 1 sampler positions; `values` aligns with them.
-    """
-
-    snapshot_index: int
-    positions: np.ndarray
-    values: np.ndarray
-
-
-def sample_snapshot(stream: np.ndarray, pair: CoprimePair, snapshot_index: int) -> SnapshotData:
-    """Retain the co-prime sample positions of snapshot `snapshot_index`.
-
-    The stream must be one-dimensional and cover Nyquist indices up to
-    2MN*(snapshot_index + 1); only the snapshot's own 2MN samples are
-    checked for finiteness, so reading snapshots one at a time stays linear
-    in the stream length.  The index must be a non-negative integer; bools
-    and non-integral values raise OutOfRangeError.
-    """
-    pair = as_pair(pair)
-    stream = _one_dimensional(stream)
-    snapshot_index = exact_int("snapshot index", snapshot_index)
-    if snapshot_index < 0:
-        raise OutOfRangeError(f"snapshot index must be non-negative, got {snapshot_index}")
-    start = pair.period * snapshot_index
-    end = start + pair.period
-    if len(stream) < end:
-        raise InsufficientDataError(
-            f"snapshot {snapshot_index} needs {end} samples, stream has {len(stream)}"
-        )
-    positions = _structure(pair.M, pair.N, RangeKind.FULL.value).positions
-    return SnapshotData(snapshot_index, positions, check_stream(stream[start:end])[positions])
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,13 +176,40 @@ def _structure(M: int, N: int, range_value: str) -> _PairStructure:
     )
 
 
+def _snapshot_samples(
+    values: object, pair: CoprimePair, range_kind: RangeKind, snapshots: int | None = None,
+) -> tuple[np.ndarray, _PairStructure]:
+    """The retained samples (L x P) of the stream's first `snapshots` snapshots, and the pair table.
+
+    Snapshot s covers Nyquist indices [2MN*s, 2MN*(s + 1)); None takes every
+    complete snapshot and ignores a trailing partial one.  The stream is
+    validated by ``check_stream``; too few samples for one snapshot, or for
+    the `snapshots` requested, raise InsufficientDataError.  The samples
+    are a fresh array that the caller may scale in place.
+    """
+    stream = check_stream(values)
+    if snapshots is None:
+        snapshots = len(stream) // pair.period
+    else:
+        snapshots = check_positive_int("snapshots", snapshots)
+    if snapshots < 1 or len(stream) < snapshots * pair.period:
+        raise InsufficientDataError(
+            f"{snapshots or 1} snapshot(s) of {pair.period} samples "
+            f"requested, stream has {len(stream)}"
+        )
+    structure = _structure(pair.M, pair.N, range_kind.value)
+    snapshot_rows = stream[: snapshots * pair.period].reshape(snapshots, pair.period)
+    return snapshot_rows[:, structure.positions], structure
+
+
 @dataclass(frozen=True, eq=False)
 class AutocorrEstimate:
     """Autocorrelation estimate over a symmetric lag grid.
 
     `values[i]` estimates the autocorrelation at `lags[i]`; the grid covers
     every integer in [-limit, limit] with zeros at full-range holes.
-    Conjugate symmetry holds by construction.
+    Conjugate symmetry holds by construction.  `snapshots_used` is the
+    number of snapshots averaged.
     """
 
     pair: CoprimePair
@@ -323,52 +298,34 @@ def _lag_sums(samples: np.ndarray, structure: _PairStructure, s_b: float | None)
     return sums
 
 
-def _snapshot_correlogram(
-    stream: np.ndarray, pair: CoprimePair, snapshots: int, range_kind: RangeKind,
-    grid: FrequencyGrid, normalization: str, s_b: float | None,
-) -> SpectrumCurve:
-    """Correlogram of the autocorrelation averaged over the first `snapshots` snapshots.
-
-    The sampled columns are multiplied by (-1)^position, so each Gram entry
-    already carries the (-1)^lag of the transform (``spectra._lag_transform``);
-    the lag sums then fold onto the G frequency bins and one FFT follows.
-    """
-    s_b = _normalization_constant(pair, normalization, s_b)
-    structure = _structure(pair.M, pair.N, range_kind.value)
-    samples = stream[: snapshots * pair.period].reshape(snapshots, pair.period)[:, structure.positions]
-    samples *= structure.signs
-    sums = _lag_sums(samples, structure, s_b)
-    return _grid_transform(_fold(sums, -structure.limit, grid.size), grid, "correlogram")
-
-
 def autocorrelation(
-    data: SnapshotData,
+    stream: np.ndarray,
     pair: CoprimePair,
     range_kind: RangeKind | str = RangeKind.FULL,
     normalization: str = "biased",
     s_b: float | None = None,
 ) -> AutocorrEstimate:
-    """Estimate the autocorrelation of one snapshot over the lag range.
+    """Estimate the autocorrelation over the lag range, averaged over the stream's snapshots.
 
-    For each lag l in [-limit, limit], sums x(i) * conj(x(j)) over the
-    ordered sample pairs with i - j = l (their count is the weight
-    function at |l|), divides by ``s_b`` (biased; default 2M + N - 1) or
-    by the pair count (unbiased), and takes the exact Hermitian mean of
-    each lag and its mirror, so conjugate symmetry holds bit for bit.
-    Full-range holes stay zero.
+    `stream` is a Nyquist-rate sample stream, as ``fit`` takes; every
+    complete snapshot is used and a trailing partial one is ignored.  For
+    each lag l in [-limit, limit], sums x(i) * conj(x(j)) over the ordered
+    sample pairs with i - j = l (their count is the weight function at
+    |l|) and over the snapshots, divides by ``s_b`` (biased; default
+    2M + N - 1) or by the pair count (unbiased) and by the snapshot count,
+    and takes the exact Hermitian mean of each lag and its mirror, so
+    conjugate symmetry holds bit for bit.  Full-range holes stay zero.
     """
     pair = as_pair(pair)
     range_kind = as_range_kind(range_kind)
-    structure = _structure(pair.M, pair.N, range_kind.value)
-    if len(data.values) != len(structure.positions):
-        raise OutOfRangeError("snapshot does not match the pair's sampler positions")
+    samples, structure = _snapshot_samples(stream, pair, range_kind)
     s_b = _normalization_constant(pair, normalization, s_b)
-    sums = _lag_sums(data.values[None, :], structure, s_b)
+    sums = _lag_sums(samples, structure, s_b)
     # The exact Hermitian mean of each lag and its mirror: conjugate
     # symmetry then holds bit for bit and the zero lag is exactly real.
     values = (sums + np.conj(sums[::-1])) / 2
     lags = np.arange(-structure.limit, structure.limit + 1)
-    return AutocorrEstimate(pair, range_kind, normalization, s_b, lags, values)
+    return AutocorrEstimate(pair, range_kind, normalization, s_b, lags, values, len(samples))
 
 
 def correlogram(estimate: AutocorrEstimate, grid: FrequencyGrid | int) -> SpectrumCurve:
@@ -377,42 +334,11 @@ def correlogram(estimate: AutocorrEstimate, grid: FrequencyGrid | int) -> Spectr
     The window oracle's transform, ``spectra._lag_transform``: the lags
     fold mod G with the sign (-1)^l and one FFT follows, in O(lags +
     G log G); the imaginary residual is checked against the folded values'
-    absolute sum, at most sum |values|, and discarded.  ``fit`` and ``average_correlogram`` do not
-    build an estimate: their kernel folds the lag sums of the Gram directly.
+    absolute sum, at most sum |values|, and discarded.  ``fit`` does not
+    build an estimate: its kernel folds the lag sums of the Gram directly.
     """
     grid = as_grid(grid)
     return _lag_transform(estimate.lags, estimate.values, grid, "correlogram")
-
-
-def average_correlogram(
-    model: SignalModel,
-    pair: CoprimePair,
-    snapshot_count: int,
-    range_kind: RangeKind | str = RangeKind.FULL,
-    grid: FrequencyGrid | int = 4096,
-    normalization: str = "biased",
-    s_b: float | None = None,
-    realization: int = 0,
-) -> SpectrumCurve:
-    """Mean correlogram over `snapshot_count` snapshots of one realization.
-
-    By linearity this is the correlogram of the snapshot-averaged
-    autocorrelation, which one batched kernel computes: the Gram matrix of
-    all retained samples, each multiplied by (-1)^position so that every
-    pair product carries the transform's (-1)^lag, formed in row blocks
-    that keep each BLAS product single-threaded; one bincount of the
-    in-range ordered pairs to their lags; one normalization; then one fold
-    mod G and one FFT, O(L * (2M+N-1)^2 + G log G) in all.  The result is a
-    deterministic function of the model seed.
-    """
-    pair = as_pair(pair)
-    range_kind = as_range_kind(range_kind)
-    grid = as_grid(grid)
-    snapshot_count = check_positive_int("snapshot_count", snapshot_count)
-    stream = generate_signal(model, pair.period * snapshot_count, realization)
-    return _snapshot_correlogram(
-        stream, pair, snapshot_count, range_kind, grid, normalization, s_b
-    )
 
 
 def detect_peaks(curve: SpectrumCurve, count: int) -> list[tuple[float, float]]:
@@ -445,10 +371,12 @@ class CoprimeCorrelogram:
     Parameters are set at construction and readable through
     ``get_params``/``set_params``; ``fit`` consumes a Nyquist-rate complex
     sample stream and exposes the averaged spectrum as fitted attributes.
-    ``fit`` runs the batched kernel of ``average_correlogram`` once over all
-    snapshots: a blocked, single-threaded Gram of the sign-carrying samples,
-    one bincount of the in-range ordered pairs to lags, one fold mod G and
-    one FFT.  Memory does not grow with G times the number of lags.
+    ``fit`` runs one batched kernel over all snapshots: a blocked,
+    single-threaded Gram of the sign-carrying samples, one bincount of the
+    in-range ordered pairs to lags, one fold mod G and one FFT, in
+    O(L * (2M+N-1)^2 + G log G).  By linearity that is the mean of the
+    per-snapshot correlograms.  Memory does not grow with G times the
+    number of lags.
 
     Parameters
     ----------
@@ -511,23 +439,22 @@ class CoprimeCorrelogram:
         return self
 
     def _spectrum(self, X: np.ndarray) -> tuple[SpectrumCurve, int]:
+        """Correlogram of the autocorrelation averaged over the stream's snapshots.
+
+        The sampled columns are multiplied by (-1)^position, so each Gram
+        entry already carries the (-1)^lag of the transform
+        (``spectra._lag_transform``); the lag sums then fold onto the G
+        frequency bins and one FFT follows.
+        """
         pair = as_pair((self.M, self.N))
         range_kind = as_range_kind(self.lag_range)
         grid = as_grid(self.grid_size)
-        stream = check_stream(X)
-        if self.snapshots is None:
-            n_snapshots = len(stream) // pair.period
-        else:
-            n_snapshots = check_positive_int("snapshots", self.snapshots)
-        if n_snapshots < 1 or len(stream) < n_snapshots * pair.period:
-            raise InsufficientDataError(
-                f"{n_snapshots or 1} snapshot(s) of {pair.period} samples "
-                f"requested, stream has {len(stream)}"
-            )
-        curve = _snapshot_correlogram(
-            stream, pair, n_snapshots, range_kind, grid, self.normalization, self.s_b
-        )
-        return curve, n_snapshots
+        samples, structure = _snapshot_samples(X, pair, range_kind, self.snapshots)
+        s_b = _normalization_constant(pair, self.normalization, self.s_b)
+        samples *= structure.signs
+        sums = _lag_sums(samples, structure, s_b)
+        curve = _grid_transform(_fold(sums, -structure.limit, grid.size), grid, "correlogram")
+        return curve, len(samples)
 
     def fit(self, X, y=None) -> "CoprimeCorrelogram":
         """Estimate the averaged spectrum of the stream `X`."""

@@ -177,6 +177,13 @@ _UNION_PARTS = {
 }
 
 
+def _check_set_kind(kind: SetKind) -> SetKind:
+    """`kind` itself; a name, None or any other non-SetKind raises OutOfRangeError."""
+    if not isinstance(kind, SetKind):
+        raise OutOfRangeError(f"kind must be a SetKind, got {kind!r}")
+    return kind
+
+
 def _lag_counts(pair: CoprimePair, kind: SetKind, extended: bool = True) -> np.ndarray:
     """Multiplicity of every lag of the named set, lag l at index l + 2MN - 1.
 
@@ -199,9 +206,10 @@ def difference_set(pair: CoprimePair, kind: SetKind, extended: bool = True) -> D
 
     With ``extended=False`` the sets are those of the prototype array
     (``sampler_positions``), whose extension cross parts are empty.
+    Raises OutOfRangeError if `kind` is not a SetKind.
     """
     pair = as_pair(pair)
-    counts = _lag_counts(pair, kind, extended)
+    counts = _lag_counts(pair, _check_set_kind(kind), extended)
     members = np.flatnonzero(counts)
     lags = (members - pair.full_lag_limit).tolist()
     return DifferenceSet(kind, tuple(lags), dict(zip(lags, counts[members].tolist())))
@@ -210,9 +218,11 @@ def difference_set(pair: CoprimePair, kind: SetKind, extended: bool = True) -> D
 def dof(pair: CoprimePair, kind: SetKind, extended: bool = True) -> int:
     """Closed-form count of distinct lags in the named set.
 
-    With ``extended=False``, of the prototype array's set.
+    With ``extended=False``, of the prototype array's set.  Raises
+    OutOfRangeError if `kind` is not a SetKind.
     """
     pair = as_pair(pair)
+    kind = _check_set_kind(kind)
     M, N = pair.M, pair.N
     second = 2 * M if extended else M  # samples of the N-spaced stream
     if kind in (SetKind.SELF_M_POS, SetKind.SELF_M_NEG):

@@ -62,14 +62,22 @@ def as_grid(value: FrequencyGrid | int) -> FrequencyGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumCurve:
-    """Real-valued curve sampled on a frequency grid."""
+    """Real-valued curve sampled on a frequency grid.
+
+    The grid may be given as a FrequencyGrid or an integer grid size; the
+    values must be one per grid point, or OutOfRangeError is raised.
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.grid.size:
-            raise ValueError("curve length does not match its grid")
+        object.__setattr__(self, "grid", as_grid(self.grid))
+        if np.shape(self.values) != (self.grid.size,):
+            raise OutOfRangeError(
+                f"curve values of shape {np.shape(self.values)} "
+                f"do not match a grid of {self.grid.size} points"
+            )
 
     @property
     def omega(self) -> np.ndarray:

@@ -11,6 +11,7 @@ from math import gcd
 import numpy as np
 
 from coprimearray import (
+    CoprimeCorrelogram,
     CoprimePair,
     FrequencyGrid,
     RangeKind,
@@ -18,7 +19,6 @@ from coprimearray import (
     SetKind,
     SignalModel,
     autocorrelation,
-    average_correlogram,
     bias_biased,
     bias_unbiased,
     complexity,
@@ -29,7 +29,6 @@ from coprimearray import (
     generate_signal,
     main_peak,
     relative_amplitude,
-    sample_snapshot,
     tones,
     unbiased_window,
     weight_closed_form,
@@ -241,8 +240,8 @@ def test_criterion_10_white_noise_variance():
     stream = generate_signal(SignalModel(noise_power=1.0, seed=0), pair.period * snapshots)
     curves = np.empty((snapshots, grid.size))
     for index in range(snapshots):
-        estimate = autocorrelation(sample_snapshot(stream, pair, index), pair, RangeKind.FULL)
-        curves[index] = correlogram(estimate, grid).values
+        snapshot = stream[index * pair.period:(index + 1) * pair.period]
+        curves[index] = correlogram(autocorrelation(snapshot, pair, RangeKind.FULL), grid).values
     mean = curves.mean(axis=0)
     variance = curves.var(axis=0, ddof=1)
     standard_error = np.sqrt(variance / snapshots)
@@ -261,11 +260,12 @@ def test_criterion_11_peak_location_trials():
     pair = CoprimePair(3, 7)
     grid = FrequencyGrid(1024)
     tolerance = grid.step + 1e-12
+    estimator = CoprimeCorrelogram(3, 7, snapshots=10, lag_range="full", grid_size=grid.size)
 
     single = SignalModel(tones(0.4 * np.pi), noise_power=0.1)
     single_hits = 0
     for trial in range(100):
-        curve = average_correlogram(single, pair, 10, RangeKind.FULL, grid, realization=trial)
+        curve = estimator.fit(generate_signal(single, pair.period * 10, trial)).curve_
         peak_omega = curve.omega[np.argmax(curve.values)]
         if abs(peak_omega - 0.4 * np.pi) <= tolerance:
             single_hits += 1
@@ -274,7 +274,7 @@ def test_criterion_11_peak_location_trials():
     triple = SignalModel(tones(*targets), noise_power=0.1)
     triple_hits = 0
     for trial in range(100):
-        curve = average_correlogram(triple, pair, 10, RangeKind.FULL, grid, realization=trial)
+        curve = estimator.fit(generate_signal(triple, pair.period * 10, trial)).curve_
         try:
             found = sorted(omega for omega, _ in detect_peaks(curve, 3))
         except NotEnoughPeaksError:

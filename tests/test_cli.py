@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coprimearray import cli
 from coprimearray.cli import main
 
 
@@ -109,6 +110,20 @@ class TestEstimateCommand:
         assert payload["columns"] == ["omega", "power"]
         assert payload["config"]["freq"] == "0.4"
         assert len(payload["rows"]) == 1024
+
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_non_positive_snapshot_count_is_config_error(self, count, tmp_path, capsys, monkeypatch):
+        def synthesize(*args, **kwargs):
+            raise AssertionError("signal synthesized before the snapshot count was checked")
+
+        monkeypatch.setattr(cli, "generate_signal", synthesize)
+        out = tmp_path / "e.csv"
+        assert main(["estimate", "--snapshots", count, "-o", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["type"] == "OutOfRangeError"
+        assert "--snapshots" in record["message"]
+        assert not out.exists()
 
 
 class TestTablesCommand:

@@ -1,4 +1,4 @@
-"""Snapshot sampling, autocorrelation, correlogram, and the estimator class."""
+"""Signal synthesis, autocorrelation, correlogram, and the estimator class."""
 
 import resource
 
@@ -19,13 +19,11 @@ from coprimearray import (
     SpectrumCurve,
     ToneComponent,
     autocorrelation,
-    average_correlogram,
     bias_biased,
     correlogram,
     detect_peaks,
     generate_signal,
     lag_limit,
-    sample_snapshot,
     tones,
     weight_oracle,
 )
@@ -35,6 +33,8 @@ from reference import dirichlet_ratio
 
 PAIR = CoprimePair(4, 3)
 GRID = FrequencyGrid(1024)
+#: One snapshot of ones: every estimate over it is the weight function.
+ONES = np.ones(PAIR.period, dtype=complex)
 
 
 def _mean_of_dense_transforms(stream, pair, range_kind, normalization, grid):
@@ -110,58 +110,69 @@ class TestGenerateSignal:
         assert x[0] == pytest.approx(1.0 + 0.0j)
 
 
-class TestSampleSnapshot:
+class TestAutocorrelationStream:
+    """``autocorrelation`` reads the retained samples of every complete snapshot."""
+
     def test_kept_positions(self):
-        snapshot = sample_snapshot(np.arange(PAIR.period, dtype=complex), PAIR, 0)
-        assert snapshot.positions.tolist() == [0, 3, 4, 6, 8, 9, 12, 15, 18, 21]
+        # Ones at the sampler positions and zeros elsewhere read as a stream
+        # of ones: the estimate reads those positions and no others.
+        positions = [0, 3, 4, 6, 8, 9, 12, 15, 18, 21]
+        stream = np.zeros(PAIR.period, dtype=complex)
+        stream[positions] = 1.0
+        expected = autocorrelation(ONES, PAIR).values
+        assert np.array_equal(autocorrelation(stream, PAIR).values, expected)
 
     def test_second_snapshot_reads_shifted_positions(self):
-        stream = np.arange(2 * PAIR.period, dtype=complex)
-        first = sample_snapshot(stream, PAIR, 0)
-        second = sample_snapshot(stream, PAIR, 1)
-        assert np.array_equal(second.values, first.values + PAIR.period)
+        model = SignalModel(tones(0.3 * np.pi), noise_power=0.2, seed=3)
+        stream = generate_signal(model, 2 * PAIR.period)
+        first = autocorrelation(stream[: PAIR.period], PAIR)
+        second = autocorrelation(stream[PAIR.period:], PAIR)
+        both = autocorrelation(stream, PAIR)
+        assert both.snapshots_used == 2
+        expected = (first.values + second.values) / 2
+        assert np.max(np.abs(both.values - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_trailing_partial_snapshot_ignored(self):
+        stream = generate_signal(SignalModel(noise_power=1.0, seed=4), 3 * PAIR.period)
+        padded = np.concatenate([stream, np.full(PAIR.period - 1, 1e6, dtype=complex)])
+        estimate = autocorrelation(padded, PAIR)
+        assert estimate.snapshots_used == 3
+        assert np.array_equal(estimate.values, autocorrelation(stream, PAIR).values)
 
     def test_insufficient_stream(self):
         with pytest.raises(InsufficientDataError):
-            sample_snapshot(np.zeros(10, dtype=complex), PAIR, 0)
-
-    @pytest.mark.parametrize("index", [1.5, True, "1"], ids=["fractional", "bool", "string"])
-    def test_index_must_be_an_integer(self, index):
-        with pytest.raises(OutOfRangeError):
-            sample_snapshot(np.zeros(2 * PAIR.period, dtype=complex), PAIR, index)
+            autocorrelation(np.zeros(10, dtype=complex), PAIR)
 
     def test_two_dimensional_stream_rejected(self):
         with pytest.raises(OutOfRangeError):
-            sample_snapshot(np.zeros((2, PAIR.period), dtype=complex), PAIR, 0)
+            autocorrelation(np.zeros((2, PAIR.period), dtype=complex), PAIR)
 
-    def test_only_the_read_snapshot_is_checked(self):
-        # A non-finite sample spoils its own snapshot, not the others.
+    def test_non_finite_sample_rejected(self):
+        # The whole stream is checked, as fit checks it, not only the
+        # snapshot that holds the bad sample.
         stream = np.ones(2 * PAIR.period, dtype=complex)
         stream[PAIR.period + 1] = np.nan
-        assert np.array_equal(sample_snapshot(stream, PAIR, 0).values, np.ones(PAIR.sample_count))
         with pytest.raises(OutOfRangeError):
-            sample_snapshot(stream, PAIR, 1)
+            autocorrelation(stream, PAIR)
 
 
 class TestAutocorrelation:
     def test_all_ones_unbiased(self):
-        snapshot = sample_snapshot(np.ones(PAIR.period, dtype=complex), PAIR, 0)
-        estimate = autocorrelation(snapshot, PAIR, RangeKind.FULL, "unbiased")
+        estimate = autocorrelation(ONES, PAIR, RangeKind.FULL, "unbiased")
         weights = weight_oracle(PAIR, RangeKind.FULL)
         for lag in range(-23, 24):
             expected = 1.0 if weights[lag] else 0.0
             assert estimate.value(lag) == pytest.approx(expected)
 
     def test_all_ones_biased_gives_weight_over_s_b(self):
-        snapshot = sample_snapshot(np.ones(PAIR.period, dtype=complex), PAIR, 0)
-        estimate = autocorrelation(snapshot, PAIR, RangeKind.FULL, "biased", s_b=10.0)
+        estimate = autocorrelation(ONES, PAIR, RangeKind.FULL, "biased", s_b=10.0)
         weights = weight_oracle(PAIR, RangeKind.FULL)
         for lag in range(-23, 24):
             assert estimate.value(lag) == pytest.approx(weights[lag] / 10.0)
 
     def test_conjugate_symmetry_exact(self):
         stream = generate_signal(SignalModel(tones(0.3 * np.pi), noise_power=0.2, seed=3), PAIR.period)
-        estimate = autocorrelation(sample_snapshot(stream, PAIR, 0), PAIR)
+        estimate = autocorrelation(stream, PAIR)
         values = estimate.values
         assert np.array_equal(values, np.conj(values[::-1]))
         zero = estimate.value(0)
@@ -173,10 +184,9 @@ class TestAutocorrelation:
         # is sqrt(z(l))/(s_b*sqrt(S)).
         snapshots = 10_000
         stream = generate_signal(SignalModel(noise_power=1.0, seed=0), PAIR.period * snapshots)
-        total = np.zeros(2 * PAIR.full_lag_limit + 1, dtype=complex)
-        for index in range(snapshots):
-            total += autocorrelation(sample_snapshot(stream, PAIR, index), PAIR).values
-        mean = total / snapshots
+        estimate = autocorrelation(stream, PAIR)
+        assert estimate.snapshots_used == snapshots
+        mean = estimate.values
         weights = weight_oracle(PAIR, RangeKind.FULL)
         for lag in range(-23, 24):
             if weights[lag] == 0:
@@ -187,15 +197,13 @@ class TestAutocorrelation:
             assert abs(mean[lag + 23] - expected) < 3.0 * standard_error
 
     def test_truncated_range(self):
-        snapshot = sample_snapshot(np.ones(PAIR.period, dtype=complex), PAIR, 0)
-        estimate = autocorrelation(snapshot, PAIR, RangeKind.PROTOTYPE, "unbiased")
+        estimate = autocorrelation(ONES, PAIR, RangeKind.PROTOTYPE, "unbiased")
         assert estimate.lags.min() == -11 and estimate.lags.max() == 11
 
 
 class TestCorrelogram:
     def test_delta_autocorrelation_is_flat(self):
-        snapshot = sample_snapshot(np.ones(PAIR.period, dtype=complex), PAIR, 0)
-        estimate = autocorrelation(snapshot, PAIR, RangeKind.FULL, "biased")
+        estimate = autocorrelation(ONES, PAIR, RangeKind.FULL, "biased")
         flat = estimate.values * 0.0
         flat[PAIR.full_lag_limit] = 2.5
         delta = type(estimate)(
@@ -205,8 +213,7 @@ class TestCorrelogram:
         assert np.allclose(curve.values, 2.5)
 
     def test_all_ones_matches_bias_window(self):
-        snapshot = sample_snapshot(np.ones(PAIR.period, dtype=complex), PAIR, 0)
-        estimate = autocorrelation(snapshot, PAIR, RangeKind.FULL, "biased", s_b=10.0)
+        estimate = autocorrelation(ONES, PAIR, RangeKind.FULL, "biased", s_b=10.0)
         curve = correlogram(estimate, GRID)
         window = bias_biased(PAIR, RangeKind.FULL, GRID, s_b=10.0)
         assert np.max(np.abs(curve.values - window.values)) < 1e-12
@@ -216,10 +223,10 @@ class TestAverageCorrelogram:
     MODEL = SignalModel(tones(0.4 * np.pi), noise_power=0.1, seed=5)
 
     def test_single_snapshot_mean_is_identity(self):
-        averaged = average_correlogram(self.MODEL, PAIR, 1, grid=GRID)
         stream = generate_signal(self.MODEL, PAIR.period)
-        single = correlogram(autocorrelation(sample_snapshot(stream, PAIR, 0), PAIR), GRID)
-        assert np.allclose(averaged.values, single.values)
+        averaged = CoprimeCorrelogram(4, 3, snapshots=1, grid_size=GRID.size).transform(stream)
+        single = correlogram(autocorrelation(stream, PAIR), GRID)
+        assert np.allclose(averaged, single.values)
 
     @pytest.mark.parametrize("grid_size", [1024, 4098])
     @pytest.mark.parametrize("range_kind", list(RangeKind))
@@ -229,31 +236,32 @@ class TestAverageCorrelogram:
         # G = 4098 is not a power of two.
         pair, grid, snapshots = CoprimePair(M, N), FrequencyGrid(grid_size), 3
         stream = generate_signal(self.MODEL, pair.period * snapshots)
-        # Half a snapshot more, which fit must ignore.
+        # Half a snapshot more, which fit and autocorrelation must ignore.
         padded = np.concatenate([stream, stream[: pair.period // 2]])
         for normalization in ("biased", "unbiased"):
             expected = _mean_of_dense_transforms(stream, pair, range_kind, normalization, grid)
             scale = np.max(np.abs(expected))
-            averaged = average_correlogram(
-                self.MODEL, pair, snapshots, range_kind, grid, normalization
-            )
+            estimate = autocorrelation(padded, pair, range_kind, normalization)
+            averaged = correlogram(estimate, grid)
             fitted = CoprimeCorrelogram(
                 M, N, lag_range=range_kind.value, normalization=normalization,
                 grid_size=grid_size,
             ).fit(padded)
-            assert fitted.n_snapshots_ == snapshots
+            assert fitted.n_snapshots_ == estimate.snapshots_used == snapshots
             assert np.max(np.abs(averaged.values - expected)) <= 1e-12 * scale
             assert np.max(np.abs(fitted.spectrum_ - expected)) <= 1e-12 * scale
 
     def test_deterministic(self):
-        one = average_correlogram(self.MODEL, PAIR, 4, grid=GRID)
-        two = average_correlogram(self.MODEL, PAIR, 4, grid=GRID)
-        assert np.array_equal(one.values, two.values)
+        estimator = CoprimeCorrelogram(4, 3, snapshots=4, grid_size=GRID.size)
+        one = estimator.transform(generate_signal(self.MODEL, PAIR.period * 4))
+        two = estimator.transform(generate_signal(self.MODEL, PAIR.period * 4))
+        assert np.array_equal(one, two)
 
     def test_peak_near_tone_for_3_7(self):
         pair = CoprimePair(3, 7)
-        curve = average_correlogram(self.MODEL, pair, 10, grid=GRID, realization=1)
-        peak_omega = curve.omega[np.argmax(curve.values)]
+        stream = generate_signal(self.MODEL, pair.period * 10, realization=1)
+        estimator = CoprimeCorrelogram(3, 7, snapshots=10, grid_size=GRID.size).fit(stream)
+        peak_omega = estimator.omega_[np.argmax(estimator.spectrum_)]
         assert abs(peak_omega - 0.4 * np.pi) <= GRID.step + 1e-12
 
     def test_averaging_shrinks_variance_like_one_over_l(self):
@@ -262,8 +270,9 @@ class TestAverageCorrelogram:
         realizations = 40
         samples = {}
         for count in (10, 100):
+            estimator = CoprimeCorrelogram(4, 3, snapshots=count, grid_size=GRID.size)
             curves = np.array([
-                average_correlogram(self.MODEL, PAIR, count, grid=GRID, realization=r).values
+                estimator.transform(generate_signal(self.MODEL, PAIR.period * count, r))
                 for r in range(realizations)
             ])
             samples[count] = curves.var(axis=0, ddof=1).mean()
@@ -339,7 +348,8 @@ class TestDetectPeaks:
 
     def test_three_tones_within_one_bin(self):
         model = SignalModel(tones(0.3 * np.pi, 0.5 * np.pi, 0.7 * np.pi), noise_power=0.1, seed=0)
-        curve = average_correlogram(model, CoprimePair(3, 7), 10, grid=GRID)
+        stream = generate_signal(model, CoprimePair(3, 7).period * 10)
+        curve = CoprimeCorrelogram(3, 7, snapshots=10, grid_size=GRID.size).fit(stream).curve_
         found = sorted(omega for omega, _ in detect_peaks(curve, 3))
         for target, omega in zip((0.3 * np.pi, 0.5 * np.pi, 0.7 * np.pi), found):
             assert abs(omega - target) <= GRID.step + 1e-12

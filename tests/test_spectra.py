@@ -345,6 +345,22 @@ class TestFloorSum:
                 assert peak_value(M, N, RangeKind.PROTOTYPE) == prototype(M, N), (M, N)
 
 
+class TestSpectrumCurve:
+    def test_integer_grid_size_accepted(self):
+        curve = SpectrumCurve(4096, np.zeros(4096))
+        assert curve.grid == FrequencyGrid(4096)
+        assert np.array_equal(curve.omega, FrequencyGrid(4096).points)
+
+    def test_fractional_grid_size_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            SpectrumCurve(4096.9, np.zeros(4096))
+
+    @pytest.mark.parametrize("shape", [(4095,), (4097,), (2, 2048), ()])
+    def test_values_off_the_grid_rejected(self, shape):
+        with pytest.raises(OutOfRangeError):
+            SpectrumCurve(FrequencyGrid(4096), np.zeros(shape))
+
+
 class TestSideLobePeak:
     def test_dirichlet_largest_local_max(self):
         # Dense-grid oracle values for sin(31*w/2)/sin(w/2): the first lobe

@@ -9,7 +9,6 @@ import pytest
 
 import coprimearray
 from coprimearray import (
-    SINGLE_TONE_DEMO,
     CoprimeCorrelogram,
     CoprimePair,
     FrequencyGrid,
@@ -20,18 +19,18 @@ from coprimearray import (
     SignalModel,
     ToneComponent,
     autocorrelation,
-    average_correlogram,
     bias_biased,
     bias_unbiased,
     complexity,
     correlogram,
     covariance_curve,
+    difference_set,
+    dof,
     generate_signal,
     lag_limit,
     main_peak,
     peak_value,
     relative_amplitude,
-    sample_snapshot,
     unbiased_window,
     variance_factor,
     variance_sweep,
@@ -179,10 +178,9 @@ class TestGridSizesAccepted:
 
     # Each function called with the given grid.
     CALLS = {
-        "average_correlogram": lambda grid: average_correlogram(SINGLE_TONE_DEMO, PAIR, 2, grid=grid),
         "bias_biased": lambda grid: bias_biased(PAIR, RangeKind.CONTINUOUS, grid),
         "bias_unbiased": lambda grid: bias_unbiased(PAIR, RangeKind.FULL, grid),
-        "correlogram": lambda grid: correlogram(autocorrelation(sample_snapshot(STREAM, PAIR, 0), PAIR), grid),
+        "correlogram": lambda grid: correlogram(autocorrelation(STREAM, PAIR), grid),
         "covariance_curve": lambda grid: covariance_curve(PAIR, RangeKind.FULL, grid, 1.0),
         "relative_amplitude": lambda grid: relative_amplitude(PAIR, RangeKind.FULL, grid),
         "window_term_curves": lambda grid: window_term_curves(PAIR, RangeKind.FULL, grid),
@@ -233,6 +231,16 @@ class TestRangeKindRequired:
             complexity(PAIR, scheme)
 
 
+class TestSetKindRequired:
+    """A set named by its tag, None or a RangeKind raises instead of reading as some set."""
+
+    @pytest.mark.parametrize("function", [dof, difference_set], ids=["dof", "difference_set"])
+    @pytest.mark.parametrize("kind", ["C", None, RangeKind.FULL])
+    def test_non_set_kind_rejected(self, function, kind):
+        with pytest.raises(OutOfRangeError):
+            function(PAIR, kind)
+
+
 class TestSweepFactors:
     @pytest.mark.parametrize("factors", [(3.5, 7), (True, 7), (3, 0), (-2, 3), (3, np.float64(7.0))])
     @pytest.mark.parametrize("kind", list(RangeKind))
@@ -258,7 +266,7 @@ class TestNormalizationConstant:
             PAIR, RangeKind.FULL, FrequencyGrid(1024), s_b=s_b),
         "variance_factor": lambda s_b: variance_factor(PAIR, RangeKind.FULL, s_b),
         "covariance_curve": lambda s_b: covariance_curve(PAIR, RangeKind.FULL, FrequencyGrid(1024), 1.0, s_b),
-        "autocorrelation": lambda s_b: autocorrelation(sample_snapshot(STREAM, PAIR, 0), PAIR, s_b=s_b),
+        "autocorrelation": lambda s_b: autocorrelation(STREAM, PAIR, s_b=s_b),
         "fit": lambda s_b: CoprimeCorrelogram(4, 3, snapshots=1, s_b=s_b, grid_size=1024).fit(STREAM),
     }
 
@@ -304,7 +312,7 @@ class TestCheckStream:
 class TestEstimateLag:
     """``AutocorrEstimate.value`` takes an integer lag; bools and fractions raise."""
 
-    ESTIMATE = autocorrelation(sample_snapshot(STREAM, PAIR, 0), PAIR)
+    ESTIMATE = autocorrelation(STREAM, PAIR)
 
     @pytest.mark.parametrize("lag", [1.5, True])
     def test_non_integer_lag_rejected(self, lag):
