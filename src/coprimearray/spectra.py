@@ -3,61 +3,75 @@
 The lag-domain weight functions act as windows that the correlogram
 convolves with the true spectrum.  This module evaluates their transforms
 in closed form on a frequency grid, holds the one lag-to-frequency
-transform (the correlogram's, and the oracle of every closed form), and
-measures main-lobe/side-lobe geometry.
+transform (the correlogram's, and the oracle of every closed form) and
+its real counterpart for even windows, and measures main-lobe/side-lobe
+geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, isqrt
+from dataclasses import dataclass, field
+from functools import lru_cache
+from math import gcd, isqrt, log2
 
 import numpy as np
 
 from .errors import NoSideLobeError, OutOfRangeError, check_residual
 from .pair import CoprimePair, as_pair, check_positive_int, exact_int, finite_positive
 from .sets import RangeKind, _index_limits, lag_limit
-from .weights import weight_terms
+from .weights import weight_closed_form, weight_terms
 
 #: Grids below this size quantize side-lobe peaks too coarsely for the
 #: relative-amplitude measurements this module exists for.
 MIN_GRID_SIZE = 1024
 
 
+@dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform angular-frequency grid on [-pi, pi) containing 0 exactly.
 
     The size must be an even integer (so that 0 is a grid point) and at
-    least ``MIN_GRID_SIZE``; anything else raises OutOfRangeError.
+    least ``MIN_GRID_SIZE``; anything else raises OutOfRangeError.  Grids
+    of one size are equal and hash alike, and a grid and its `points` are
+    read-only, so one grid can serve every caller of its size (``as_grid``).
     """
 
-    def __init__(self, size: int = 4096):
-        size = exact_int("grid size", size)
+    size: int = 4096
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    zero_index: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        size = exact_int("grid size", self.size)
         if size < MIN_GRID_SIZE:
             raise OutOfRangeError(f"grid size must be at least {MIN_GRID_SIZE}, got {size}")
         if size % 2:
             raise OutOfRangeError(f"grid size must be even so 0 is on the grid, got {size}")
-        self.size = size
         # (k - size/2) * step puts 0 at index size/2 with no rounding.
-        self.points = (np.arange(size) - size // 2) * (2.0 * np.pi / size)
-        self.zero_index = size // 2
+        points = (np.arange(size) - size // 2) * (2.0 * np.pi / size)
+        points.flags.writeable = False
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "zero_index", size // 2)
 
     @property
     def step(self) -> float:
         return 2.0 * np.pi / self.size
 
-    def __repr__(self) -> str:
-        return f"FrequencyGrid(size={self.size})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FrequencyGrid) and other.size == self.size
+@lru_cache(maxsize=8)
+def _grid_of_size(size: int) -> FrequencyGrid:
+    return FrequencyGrid(size)
 
 
 def as_grid(value: FrequencyGrid | int) -> FrequencyGrid:
-    """Coerce a FrequencyGrid or an integer grid size; 4096.9 is rejected, not truncated."""
+    """Coerce a FrequencyGrid or an integer grid size; 4096.9 is rejected, not truncated.
+
+    A size gets the one grid built for it while it stays among the last
+    few sizes asked for, so a repeated ``fit`` does not rebuild its points.
+    """
     if isinstance(value, FrequencyGrid):
         return value
-    return FrequencyGrid(value)
+    return _grid_of_size(exact_int("grid size", value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +111,27 @@ class PeakReport:
     relative_amplitude: float
 
 
+@lru_cache(maxsize=4)
+def _half_grid_tables(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_HalfGrid``'s sine table over two periods, row starts and row offsets, read-only.
+
+    A 4G-entry table is 32 MB at G = 2^20, so only the last few sizes are kept.
+    """
+    length = size // 2 + 1
+    block = isqrt(length - 1) + 1
+    row_starts = np.arange(-(-length // block), dtype=np.int64) * block
+    row_offsets = np.arange(block, dtype=np.int64)
+    quadrant = np.sin(np.arange(length) * (np.pi / size))
+    table = np.empty(4 * size)
+    table[:length] = quadrant
+    table[size // 2:size + 1] = quadrant[::-1]
+    table[size + 1:2 * size] = -table[1:size]
+    table[2 * size:] = table[:2 * size]
+    for array in (table, row_starts, row_offsets):
+        array.flags.writeable = False
+    return table, row_starts, row_offsets
+
+
 class _HalfGrid:
     """Closed-form window evaluation on the half grid, with exact integer phases.
 
@@ -118,24 +153,15 @@ class _HalfGrid:
     which int64 holds for any grid that fits in memory.  ``dirichlet``
     keeps the denominator sin(omega*c/2), its zeros and their parity for
     each factor c it has seen, so terms that share a factor share one
-    gather.  The table and these denominators live for one call.
+    gather.  The table and the index rows are built once per grid size
+    (``_half_grid_tables``); the denominators live for one call.
     """
 
     def __init__(self, grid: FrequencyGrid):
-        size = grid.size
         self.grid = grid
-        self.period = 2 * size
-        self.length = size // 2 + 1
-        block = isqrt(self.length - 1) + 1
-        self.row_starts = np.arange(-(-self.length // block), dtype=np.int64) * block
-        self.row_offsets = np.arange(block, dtype=np.int64)
-        quadrant = np.sin(np.arange(size // 2 + 1) * (np.pi / size))
-        table = np.empty(2 * self.period)
-        table[:size // 2 + 1] = quadrant
-        table[size // 2:size + 1] = quadrant[::-1]
-        table[size + 1:self.period] = -table[1:size]
-        table[self.period:] = table[:self.period]
-        self.table = table
+        self.period = 2 * grid.size
+        self.length = grid.size // 2 + 1
+        self.table, self.row_starts, self.row_offsets = _half_grid_tables(grid.size)
         self.denominators: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def index(self, c: int, shift: int = 0) -> np.ndarray:
@@ -170,9 +196,10 @@ class _HalfGrid:
             ratio[flipped] = -float(count)
         return ratio
 
-    def curve(self, half: np.ndarray) -> SpectrumCurve:
-        """The even curve on the whole grid from its values at k = G/2 ... G."""
-        return SpectrumCurve(self.grid, np.concatenate((half[:0:-1], half[:-1])))
+
+def _mirrored(grid: FrequencyGrid, half: np.ndarray) -> SpectrumCurve:
+    """The even curve on the whole grid from its values at k = G/2 ... G."""
+    return SpectrumCurve(grid, np.concatenate((half[:0:-1], half[:-1])))
 
 
 def _part_index(bins: np.ndarray) -> np.ndarray:
@@ -230,6 +257,29 @@ def _lag_transform(lags: np.ndarray, values: np.ndarray, grid: FrequencyGrid, wh
     return _grid_transform(_bin(_part_index(lags % grid.size), signed, grid.size), grid, what)
 
 
+def _even_transform(counts: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """``sum_l counts[|l|] * exp(-i*omega*l)`` over |l| <= L at k = G/2 ... G, by one real FFT.
+
+    `counts` holds an even window at lags 0 ... L.  As in ``_lag_transform``
+    the lags fold mod G with the sign (-1)^l; the folded sequence is real
+    and even, so lag l and its mirror -l fold onto one of the G/2 + 1 half
+    bins, l mod G reflected about G/2, and one ``np.fft.hfft`` returns the
+    real transform in O(L + G log G) with no imaginary part formed.  The
+    values come in ``_HalfGrid`` order, for ``_mirrored``.
+    """
+    size = grid.size
+    signed = counts.astype(float)
+    signed[1::2] *= -1.0
+    bins = np.arange(len(signed)) % size
+    np.minimum(bins, size - bins, out=bins)
+    folded = np.bincount(bins[1:], signed[1:], size // 2 + 1)
+    # Only at bins 0 and G/2 do l > 0 and -l fold onto the same bin.
+    folded[[0, size // 2]] *= 2.0
+    folded[0] += signed[0]
+    transform = np.fft.hfft(folded, size)
+    return np.concatenate((transform[size // 2:], transform[:1]))
+
+
 def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid | int) -> SpectrumCurve:
     """Transform of the 0/1 availability window, in closed form.
 
@@ -242,13 +292,13 @@ def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid 
     M, N = pair.M, pair.N
     half = _HalfGrid(as_grid(grid))
     if range_kind is not RangeKind.FULL:
-        return half.curve(half.dirichlet(2 * lag_limit(pair, range_kind) + 1, 1))
+        return _mirrored(half.grid, half.dirichlet(2 * lag_limit(pair, range_kind) + 1, 1))
     cos_mn = half.cos(2 * M * N)
     self_m = 2.0 * half.cos(M * N) * half.dirichlet(N - 1, M)
     self_n = 2.0 * cos_mn * half.dirichlet(2 * M - 1, N)
     cross = half.dirichlet(N - 1, M) * half.dirichlet(M - 1, N)
     values = self_m + self_n + 1.0 + (1.0 + 2.0 * cos_mn) * cross
-    return half.curve(values)
+    return _mirrored(half.grid, values)
 
 
 def _ext_cross_transform(pair: CoprimePair, half: _HalfGrid, upper_limits: list[int]) -> np.ndarray:
@@ -301,7 +351,7 @@ def bias_biased(
         values = self_m + self_n + cross - 2.0
     else:
         values = self_m + self_n + base_cross + _ext_cross_transform(pair, half, uppers) - 2.0
-    return half.curve(values / s_b)
+    return _mirrored(half.grid, values / s_b)
 
 
 def _floor_sum(m: int, n: int, x: int) -> int:
@@ -394,6 +444,66 @@ def side_lobe_peak(curve: SpectrumCurve) -> tuple[float, float]:
     return float(curve.omega[best]), float(values[best])
 
 
+#: Costs of the two exact routes to a biased window, in ns, fitted at
+#: G = 16384 and 2^20 on a 2-vCPU Xeon with numpy 2.4.  ``bias_biased``
+#: gathers G/2 + 1 table entries per term, each with its index, arithmetic
+#: and call overhead: about 30 us a gather at G = 16384.
+#: ``_folded_window`` builds and folds the weight counts, about 70 ns a
+#: lag at L = 10^6 (half that at L = 4*10^4, where they stay in cache), and
+#: runs one real FFT.  Both routes slow about twofold per point at 2^20.
+_GATHER_NS_PER_BIN = 3.0
+_GATHER_NS = 5_000.0
+_FOLD_NS_PER_LAG = 70.0
+_FFT_NS_PER_POINT = 0.55
+_FOLD_NS = 80_000.0
+
+
+def _fft_work(size: int) -> float:
+    """Work of one `size`-point FFT, size*log2(size) for a power of two.
+
+    A radix-p pass costs about p per point, so a direct transform costs
+    `size` times half the sum of its prime factors.  Where that sum is
+    large numpy's pocketfft runs Bluestein's algorithm instead: 12 to 18
+    times log2(size) per point at G = 4098, 12346 and 16386.
+    """
+    factors, rest, p = 0, size, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            factors, rest = factors + p, rest // p
+        p += 1
+    if rest > 1:
+        factors += rest
+    return size * min(factors / 2, 12 * log2(size))
+
+
+def _fold_is_cheaper(pair: CoprimePair, range_kind: RangeKind, size: int) -> bool:
+    """Whether ``_folded_window`` is expected to cost less than ``bias_biased``.
+
+    ``bias_biased`` costs about ten gathers on the full range, whose terms
+    carry the most arithmetic, and on the truncated ranges eight plus two
+    for each of the N - 1 extension-cross runs; the fold's cost grows with
+    the lag limit L and the FFT's with G.
+    """
+    gathers = 10 if range_kind is RangeKind.FULL else 2 * pair.N + 6
+    closed = gathers * (_GATHER_NS_PER_BIN * (size // 2 + 1) + _GATHER_NS)
+    fold = (_FOLD_NS_PER_LAG * lag_limit(pair, range_kind)
+            + _FFT_NS_PER_POINT * _fft_work(size) + _FOLD_NS)
+    return fold < closed
+
+
+def _folded_window(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid) -> np.ndarray:
+    """The biased window (s_b = 1) at k = G/2 ... G from its weight counts, by ``_even_transform``.
+
+    Raises ConsistencyError unless its value at omega = 0 matches the
+    exact integer ``main_peak`` within the relative check bound.
+    """
+    counts = weight_closed_form(pair, range_kind).counts
+    half = _even_transform(counts.array[counts.limit:], grid)
+    peak = main_peak(pair, range_kind)
+    check_residual("folded window at omega = 0", abs(half[0] - peak), peak)
+    return half
+
+
 def relative_amplitude(
     pair: CoprimePair,
     range_kind: RangeKind,
@@ -402,18 +512,35 @@ def relative_amplitude(
 ) -> PeakReport:
     """Relative amplitude (P_m - P_s) / P_m of the biased window.
 
-    P_m is the exact integer ``main_peak``, which the closed form also
-    takes at omega = 0; P_s is the largest side-lobe maximum of
-    ``bias_biased`` on [-pi, 0], and since that curve is exactly even the
-    positive half holds the same lobes.  Invariant to ``s_b``, which must
-    be finite and positive, since both peaks scale identically.  The side
-    lobe is read off the grid (default 16384 points), so once the main lobe
-    spans only a few grid steps it can be the wrong lobe: at (40, 41) on the
-    continuous range the default grid reports R = 0.5844 at omega = -0.3064,
-    a 2^20-point grid 0.5829 at -0.1531.
+    P_m is the exact integer ``main_peak``; P_s is the largest side-lobe
+    maximum of the window on [-pi, 0], and since the window is exactly even
+    the positive half holds the same lobes.  Invariant to ``s_b``, which
+    must be finite and positive, since both peaks scale identically.
+
+    The window is sampled exactly on the grid by whichever route
+    ``_fold_is_cheaper`` expects to cost less: ``bias_biased``, the closed
+    form, or ``_folded_window``, the weight counts folded onto the half
+    grid and one real FFT.  The two agree within about 1e-15 of P_m.  The
+    fold is checked at omega = 0 against P_m and raises ConsistencyError on
+    a mismatch.  At the default grid the fold takes the paper's table
+    pairs on every range and the truncated ranges up to about (700, 701),
+    where the closed form pays two gathers for each of the N - 1
+    extension-cross runs; the closed form keeps the full range from
+    (40, 41) on and every range from about (1000, 1001), where the O(L)
+    counts cost more.  Finer grids move the crossover towards the fold.
+
+    The side lobe is read off the grid (default 16384 points), so once the
+    main lobe spans only a few grid steps it can be the wrong lobe: at
+    (40, 41) on the continuous range the default grid reports R = 0.5844
+    at omega = -0.3064, a 2^20-point grid 0.5829 at -0.1531.
     """
     pair = as_pair(pair)
-    curve = bias_biased(pair, range_kind, 16384 if grid is None else grid, s_b=s_b)
+    grid = as_grid(16384 if grid is None else grid)
+    s_b = finite_positive("s_b", s_b)
+    if _fold_is_cheaper(pair, range_kind, grid.size):
+        curve = _mirrored(grid, _folded_window(pair, range_kind, grid) / s_b)
+    else:
+        curve = bias_biased(pair, range_kind, grid, s_b=s_b)
     peak_main = main_peak(pair, range_kind) / s_b
     omega_side, peak_side = side_lobe_peak(curve)
     ratio = (peak_main - peak_side) / peak_main

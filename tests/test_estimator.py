@@ -378,6 +378,15 @@ class TestCoprimeCorrelogram:
         [(omega, _)] = estimator.peaks(1)
         assert abs(omega - 0.4 * np.pi) < 0.05
 
+    def test_fits_at_one_size_share_one_read_only_grid(self):
+        pair = CoprimePair(3, 7)
+        stream = generate_signal(SignalModel(tones(0.4 * np.pi), seed=2), pair.period * 4)
+        first = CoprimeCorrelogram(M=3, N=7, grid_size=2048).fit(stream)
+        second = CoprimeCorrelogram(M=3, N=7, grid_size=2048).fit(stream)
+        assert first.curve_.grid is second.curve_.grid
+        with pytest.raises(ValueError):
+            first.omega_[0] = 0.0
+
     def test_explicit_snapshot_count_validated(self):
         stream = np.ones(30, dtype=complex)
         with pytest.raises(InsufficientDataError):

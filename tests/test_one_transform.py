@@ -1,4 +1,4 @@
-"""The package has one lag-to-frequency transform, in ``spectra``."""
+"""The package's lag-to-frequency transforms live in ``spectra``: one complex, one real."""
 
 import ast
 from pathlib import Path
@@ -33,3 +33,21 @@ def test_fft_only_in_spectra():
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend(f"{path.name}:{line}" for line in _fft_references(tree))
     assert not found, f"np.fft outside spectra.py: {', '.join(found)}"
+
+
+#: The complex transform behind ``_lag_transform`` and the estimator, and
+#: the real transform of an even window's lag counts.
+FFT_FUNCTIONS = ("_grid_transform", "_even_transform")
+
+
+def test_fft_in_spectra_only_in_its_transforms():
+    # A third FFT path would be a third arithmetic to keep in agreement.
+    path = PACKAGE / "spectra.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"spectra.py:{line}" for node in tree.body
+             if not (isinstance(node, ast.FunctionDef) and node.name in FFT_FUNCTIONS)
+             for line in _fft_references(node)]
+    assert not found, f"np.fft outside {' and '.join(FFT_FUNCTIONS)}: {', '.join(found)}"
+    defined = {node.name: list(_fft_references(node)) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in FFT_FUNCTIONS}
+    assert sorted(defined) == sorted(FFT_FUNCTIONS) and all(defined.values())

@@ -1,5 +1,7 @@
 """Bias-window closed forms against the direct-transform oracle."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,10 @@ from coprimearray import (
     window_term_curves,
 )
 from coprimearray.errors import CHECK_RTOL
+from coprimearray.weights import WeightFunction, _LagCounts
 from coprimearray import spectra
-from coprimearray.spectra import _floor_sum, _HalfGrid, _strict_maxima, peak_value
+from coprimearray.spectra import (_even_transform, _floor_sum, _fold_is_cheaper, _folded_window, _HalfGrid,
+                                  _lag_transform, _mirrored, _strict_maxima, as_grid, peak_value)
 
 from reference import dirichlet_ratio, dtft_of_window
 
@@ -62,6 +66,23 @@ class TestFrequencyGrid:
     def test_invalid_sizes(self, size):
         with pytest.raises(OutOfRangeError):
             FrequencyGrid(size)
+
+    def test_equal_grids_hash_equal(self):
+        assert hash(FrequencyGrid(4096)) == hash(FrequencyGrid(4096))
+        assert len({FrequencyGrid(4096), FrequencyGrid(4096), FrequencyGrid(2048)}) == 2
+
+    def test_read_only(self):
+        grid = FrequencyGrid(1024)
+        with pytest.raises(ValueError):
+            grid.points[0] = 0.0
+        with pytest.raises(AttributeError):
+            grid.size = 2048
+
+    def test_one_grid_per_integer_size(self):
+        assert as_grid(4096) is as_grid(np.int64(4096))
+        assert as_grid(4096) == FrequencyGrid(4096)
+        with pytest.raises(OutOfRangeError):
+            as_grid(4096.0)
 
 
 class TestDirichletRatio:
@@ -289,6 +310,86 @@ class TestHalfGridIndex:
         monkeypatch.setattr(spectra, "_HalfGrid", _DirectIndexHalfGrid)
         reference = [f(pair, kind, grid).values for f in transforms for kind in RangeKind]
         assert all(map(np.array_equal, package, reference))
+
+
+class TestHalfGridTables:
+    def test_one_read_only_table_per_size(self):
+        first, second = _HalfGrid(FrequencyGrid(4096)), _HalfGrid(FrequencyGrid(4096))
+        assert first.table is second.table
+        assert first.row_starts is second.row_starts and first.row_offsets is second.row_offsets
+        for array in (first.table, first.row_starts, first.row_offsets):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_denominators_stay_per_instance(self):
+        first, second = _HalfGrid(FrequencyGrid(1024)), _HalfGrid(FrequencyGrid(1024))
+        first.dirichlet(3, 7)
+        assert sorted(first.denominators) == [7] and not second.denominators
+
+
+#: Every co-prime pair with 2 <= M, N <= 15, and three larger ones.
+SWEEP_PAIRS = [(M, N) for M in range(2, 16) for N in range(2, 16) if gcd(M, N) == 1] + [
+    (40, 41), (41, 40), (100, 101)]
+
+
+def _bumped_weights(pair, range_kind):
+    """The weight function with its count at lag 0 one too high."""
+    counts = weight_closed_form(pair, range_kind).counts.array.copy()
+    counts[len(counts) // 2] += 1
+    return WeightFunction(pair, range_kind, _LagCounts(counts))
+
+
+class TestFoldedWindow:
+    @pytest.mark.parametrize("size", [16384, 4098])
+    @pytest.mark.parametrize("route", ["chosen", "fold"])
+    def test_relative_amplitude_matches_closed_form(self, size, route, monkeypatch):
+        # The reference is the closed form's side lobe, on either route.
+        grid = FrequencyGrid(size)
+        reference = {}
+        for M, N in SWEEP_PAIRS:
+            for range_kind in RangeKind:
+                pair = CoprimePair(M, N)
+                peak = main_peak(pair, range_kind)
+                omega, side = side_lobe_peak(bias_biased(pair, range_kind, grid))
+                reference[pair, range_kind] = omega, (peak - side) / peak
+        if route == "fold":
+            monkeypatch.setattr(spectra, "_fold_is_cheaper", lambda *args: True)
+        for (pair, range_kind), (omega, ratio) in reference.items():
+            report = relative_amplitude(pair, range_kind, grid)
+            assert report.side_peak_omega == omega
+            assert report.relative_amplitude == pytest.approx(ratio, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("size", [1024, 4096, 4098])
+    @pytest.mark.parametrize("M,N", [(4, 3), (3, 7), (40, 41), (100, 101)])
+    def test_even_transform_matches_lag_transform_and_closed_form(self, size, M, N):
+        # At (100, 101) the lags wrap the grid many times, through bins 0 and G/2.
+        pair, grid = CoprimePair(M, N), FrequencyGrid(size)
+        for range_kind in RangeKind:
+            counts = weight_closed_form(pair, range_kind).counts
+            folded = _mirrored(grid, _even_transform(counts.array[counts.limit:], grid)).values
+            direct = _lag_transform(counts.lags, counts.array, grid, "window transform").values
+            closed = bias_biased(pair, range_kind, grid).values
+            bound = 1e-14 * main_peak(pair, range_kind)
+            assert np.max(np.abs(folded - direct)) <= bound
+            assert np.max(np.abs(folded - closed)) <= bound
+
+    @pytest.mark.parametrize("M,N,range_kind,size,fold", [
+        (40, 41, RangeKind.CONTINUOUS, 16384, True),
+        (100, 101, RangeKind.FULL, 2**20, True),
+        (40, 41, RangeKind.FULL, 16384, False),
+        (1000, 1001, RangeKind.CONTINUOUS, 16384, False),
+    ])
+    def test_route_on_each_side_of_the_crossover(self, M, N, range_kind, size, fold):
+        assert _fold_is_cheaper(CoprimePair(M, N), range_kind, size) is fold
+
+    def test_bumped_count_fails_the_zero_frequency_check(self, monkeypatch):
+        pair = CoprimePair(40, 41)
+        assert _fold_is_cheaper(pair, RangeKind.CONTINUOUS, 16384)
+        monkeypatch.setattr(spectra, "weight_closed_form", _bumped_weights)
+        with pytest.raises(ConsistencyError, match="omega = 0"):
+            relative_amplitude(pair, RangeKind.CONTINUOUS)
+        with pytest.raises(ConsistencyError, match="omega = 0"):
+            _folded_window(pair, RangeKind.FULL, FrequencyGrid(4096))
 
 
 class TestMainPeak:
