@@ -44,9 +44,9 @@ class NotFittedError(CoprimeArrayError):
 #: Relative bound of the runtime cross-checks on floating-point results.
 #: Relative to the checked quantity's scale, the closed-form windows agree
 #: with their transform oracles to 2e-16 or better from (40, 41) up to
-#: (1000, 1001), and the transforms of the weight windows leave imaginary
-#: parts of about 4e-17, so this leaves ample margin while an absolute
-#: bound would fail as windows grow with M*N.
+#: (1000, 1001), and the estimator's folded lag sums are conjugate-symmetric
+#: to about 3e-16 of their absolute sum, so this leaves ample margin while
+#: an absolute bound would fail as windows grow with M*N.
 CHECK_RTOL = 1e-11
 
 

@@ -36,9 +36,10 @@ from .spectra import (
     SpectrumCurve,
     _bin,
     _fold,
-    _grid_transform,
+    _hermitian_half,
     _lag_transform,
     _part_index,
+    _real_transform,
     _strict_maxima,
     as_grid,
 )
@@ -142,11 +143,9 @@ class _PairStructure:
     ``part_index`` bins pair p at its signed lag plus ``limit``
     (``spectra._part_index``), and ``inverse_weights`` holds 1/w(|l|) at
     each lag l + limit, zero at full-range holes: the unbiased scaling.
-    ``signs`` is (-1)^position for each sample.
     """
 
     positions: np.ndarray
-    signs: np.ndarray
     flat: np.ndarray | None
     part_index: np.ndarray
     inverse_weights: np.ndarray
@@ -168,7 +167,6 @@ def _structure(M: int, N: int, range_value: str) -> _PairStructure:
     np.divide(1.0, counts, out=inverse_weights, where=counts > 0)
     return _PairStructure(
         positions,
-        np.where(positions % 2 == 0, 1.0, -1.0),
         None if len(flat) == len(differences) else flat,
         _part_index(differences[flat] + limit),
         inverse_weights,
@@ -184,8 +182,7 @@ def _snapshot_samples(
     Snapshot s covers Nyquist indices [2MN*s, 2MN*(s + 1)); None takes every
     complete snapshot and ignores a trailing partial one.  The stream is
     validated by ``check_stream``; too few samples for one snapshot, or for
-    the `snapshots` requested, raise InsufficientDataError.  The samples
-    are a fresh array that the caller may scale in place.
+    the `snapshots` requested, raise InsufficientDataError.
     """
     stream = check_stream(values)
     if snapshots is None:
@@ -209,7 +206,8 @@ class AutocorrEstimate:
     `values[i]` estimates the autocorrelation at `lags[i]`; the grid covers
     every integer in [-limit, limit] with zeros at full-range holes.
     Conjugate symmetry holds by construction.  `snapshots_used` is the
-    number of snapshots averaged.
+    number of snapshots averaged.  Other lags, or values that are not one
+    finite number per lag, raise OutOfRangeError.
     """
 
     pair: CoprimePair
@@ -219,6 +217,16 @@ class AutocorrEstimate:
     lags: np.ndarray
     values: np.ndarray
     snapshots_used: int = 1
+
+    def __post_init__(self) -> None:
+        lags, values = np.asarray(self.lags), np.asarray(self.values)
+        limit = (lags.size - 1) // 2
+        if (lags.dtype.kind not in "iu" or values.dtype.kind not in "iufc" or limit < 0
+                or not np.array_equal(lags, np.arange(-limit, limit + 1))
+                or values.shape != lags.shape or not np.isfinite(values).all()):
+            raise OutOfRangeError("estimate lags must be -limit ... limit, with one finite value each")
+        object.__setattr__(self, "lags", lags)
+        object.__setattr__(self, "values", values)
 
     def value(self, lag: int) -> complex:
         """The estimate at integer `lag`; bools and non-integral lags raise OutOfRangeError."""
@@ -332,10 +340,9 @@ def correlogram(estimate: AutocorrEstimate, grid: FrequencyGrid | int) -> Spectr
     """Transform of the autocorrelation estimate on the frequency grid.
 
     The window oracle's transform, ``spectra._lag_transform``: the lags
-    fold mod G with the sign (-1)^l and one FFT follows, in O(lags +
-    G log G); the imaginary residual is checked against the folded values'
-    absolute sum, at most sum |values|, and discarded.  ``fit`` does not
-    build an estimate: its kernel folds the lag sums of the Gram directly.
+    fold mod G, the fold's conjugate symmetry is checked (ConsistencyError
+    if it fails) and one real FFT follows, in O(lags + G log G).  ``fit``
+    does not build an estimate: its kernel folds the Gram's lag sums directly.
     """
     grid = as_grid(grid)
     return _lag_transform(estimate.lags, estimate.values, grid, "correlogram")
@@ -372,11 +379,11 @@ class CoprimeCorrelogram:
     ``get_params``/``set_params``; ``fit`` consumes a Nyquist-rate complex
     sample stream and exposes the averaged spectrum as fitted attributes.
     ``fit`` runs one batched kernel over all snapshots: a blocked,
-    single-threaded Gram of the sign-carrying samples, one bincount of the
-    in-range ordered pairs to lags, one fold mod G and one FFT, in
-    O(L * (2M+N-1)^2 + G log G).  By linearity that is the mean of the
-    per-snapshot correlograms.  Memory does not grow with G times the
-    number of lags.
+    single-threaded Gram of the retained samples, one bincount of the
+    in-range ordered pairs to lags, one fold mod G, a check of the fold's
+    conjugate symmetry and one real FFT, in O(L * (2M+N-1)^2 + G log G).
+    By linearity that is the mean of the per-snapshot correlograms.
+    Memory does not grow with G times the number of lags.
 
     Parameters
     ----------
@@ -441,20 +448,17 @@ class CoprimeCorrelogram:
     def _spectrum(self, X: np.ndarray) -> tuple[SpectrumCurve, int]:
         """Correlogram of the autocorrelation averaged over the stream's snapshots.
 
-        The sampled columns are multiplied by (-1)^position, so each Gram
-        entry already carries the (-1)^lag of the transform
-        (``spectra._lag_transform``); the lag sums then fold onto the G
-        frequency bins and one FFT follows.
+        The Gram's lag sums fold onto the G frequency bins; ``spectra._hermitian_half``
+        checks their conjugate symmetry for one ``spectra._real_transform``.
         """
         pair = as_pair((self.M, self.N))
         range_kind = as_range_kind(self.lag_range)
         grid = as_grid(self.grid_size)
         samples, structure = _snapshot_samples(X, pair, range_kind, self.snapshots)
         s_b = _normalization_constant(pair, self.normalization, self.s_b)
-        samples *= structure.signs
         sums = _lag_sums(samples, structure, s_b)
-        curve = _grid_transform(_fold(sums, -structure.limit, grid.size), grid, "correlogram")
-        return curve, len(samples)
+        half = _hermitian_half(_fold(sums, -structure.limit, grid.size), "correlogram")
+        return SpectrumCurve(grid, _real_transform(half, grid)), len(samples)
 
     def fit(self, X, y=None) -> "CoprimeCorrelogram":
         """Estimate the averaged spectrum of the stream `X`."""

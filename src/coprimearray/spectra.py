@@ -2,10 +2,9 @@
 
 The lag-domain weight functions act as windows that the correlogram
 convolves with the true spectrum.  This module evaluates their transforms
-in closed form on a frequency grid, holds the one lag-to-frequency
-transform (the correlogram's, and the oracle of every closed form) and
-its real counterpart for even windows, and measures main-lobe/side-lobe
-geometry.
+in closed form on a frequency grid, holds the package's one FFT, a real
+transform behind the correlogram and the oracle of every closed form, and
+measures main-lobe/side-lobe geometry.
 """
 
 from __future__ import annotations
@@ -228,56 +227,45 @@ def _fold(binned: np.ndarray, low: int, size: int) -> np.ndarray:
     return padded.reshape(-1, size).sum(axis=0)
 
 
-def _grid_transform(folded: np.ndarray, grid: FrequencyGrid, what: str) -> SpectrumCurve:
-    """The real curve ``sum_m folded[m] * exp(-2*pi*i*k*m/G)``, by one FFT.
+def _real_transform(half: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """``sum_l r(l) * exp(-i*omega*l)`` at every grid point by ``np.fft.hfft``, the package's one FFT.
 
-    `folded` is a conjugate-symmetric lag sequence folded onto the G bins
-    with the sign (-1)^l, so the transform is real; its imaginary part is
-    checked against the relative bound of sum |folded|, which bounds the
-    transform, and discarded.
+    `half` holds bins 0 ... G/2 of r folded onto G bins at its lags mod G,
+    bin G - m the conjugate of bin m.  The FFT's value at omega = 2*pi*j/G
+    belongs to grid point j + G/2 mod G, so it is rotated by G/2.
     """
-    transform = np.fft.fft(folded)
-    residual = float(np.max(np.abs(transform.imag)))
-    check_residual(f"{what} imaginary part", residual, float(np.sum(np.abs(folded))))
-    return SpectrumCurve(grid, transform.real)
+    values = np.fft.hfft(half, grid.size)
+    return np.concatenate((values[grid.size // 2:], values[:grid.size // 2]))
+
+
+def _hermitian_half(folded: np.ndarray, what: str) -> np.ndarray:
+    """Bins m = 0 ... G/2 of (f[m] + conj f[G - m])/2, the conjugate-symmetric part of `folded`.
+
+    Its ``_real_transform`` is the real part of the transform of f.  The
+    residual sum_m |f[m] - conj f[G - m]| over the G bins, at least twice
+    that transform's largest imaginary part, raises ConsistencyError above
+    the relative bound of the part's absolute sum over the G bins, which
+    bounds the curve and is at most sum |f|.
+    """
+    size = len(folded)
+    head = folded[:size // 2 + 1]
+    mirror = np.conj(np.concatenate((head[:1], folded[:size // 2 - 1:-1])))
+    half = (head + mirror) * 0.5
+    # Bins G - m repeat the magnitudes of bins m for 0 < m < G/2.
+    residual, scale = (2.0 * m.sum() - m[0] - m[-1] for m in (np.abs(head - mirror), np.abs(half)))
+    check_residual(f"{what} conjugate symmetry", residual, scale)
+    return half
 
 
 def _lag_transform(lags: np.ndarray, values: np.ndarray, grid: FrequencyGrid, what: str) -> SpectrumCurve:
     """``sum_l values[l] * exp(-i*omega*l)`` on the grid, for conjugate-symmetric values.
 
-    exp(-i*omega_k*l) = (-1)^l * exp(-2*pi*i*k*l/G), so the lags fold mod G
-    with the sign (-1)^l, exactly for any lag range, and one FFT evaluates
-    the transform in O(lags + G log G).  The package's one lag-to-frequency
-    transform: ``correlogram`` calls it on an estimate, and on a window's
-    lag counts it is the direct oracle for the closed forms.  Raises
-    ConsistencyError if the imaginary part exceeds the relative check bound
-    of the folded values' absolute sum, at most sum |values|.
+    The lags fold mod G by one bincount, exact for any lag range, for the
+    ``_real_transform`` of the checked ``_hermitian_half``: O(lags + G log G).
+    ``correlogram`` calls it on an estimate; on window counts it is the closed forms' oracle.
     """
-    signed = np.where(lags % 2 == 0, values, -values)
-    return _grid_transform(_bin(_part_index(lags % grid.size), signed, grid.size), grid, what)
-
-
-def _even_transform(counts: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """``sum_l counts[|l|] * exp(-i*omega*l)`` over |l| <= L at k = G/2 ... G, by one real FFT.
-
-    `counts` holds an even window at lags 0 ... L.  As in ``_lag_transform``
-    the lags fold mod G with the sign (-1)^l; the folded sequence is real
-    and even, so lag l and its mirror -l fold onto one of the G/2 + 1 half
-    bins, l mod G reflected about G/2, and one ``np.fft.hfft`` returns the
-    real transform in O(L + G log G) with no imaginary part formed.  The
-    values come in ``_HalfGrid`` order, for ``_mirrored``.
-    """
-    size = grid.size
-    signed = counts.astype(float)
-    signed[1::2] *= -1.0
-    bins = np.arange(len(signed)) % size
-    np.minimum(bins, size - bins, out=bins)
-    folded = np.bincount(bins[1:], signed[1:], size // 2 + 1)
-    # Only at bins 0 and G/2 do l > 0 and -l fold onto the same bin.
-    folded[[0, size // 2]] *= 2.0
-    folded[0] += signed[0]
-    transform = np.fft.hfft(folded, size)
-    return np.concatenate((transform[size // 2:], transform[:1]))
+    folded = _bin(_part_index(lags % grid.size), values, grid.size)
+    return SpectrumCurve(grid, _real_transform(_hermitian_half(folded, what), grid))
 
 
 def bias_unbiased(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid | int) -> SpectrumCurve:
@@ -492,13 +480,22 @@ def _fold_is_cheaper(pair: CoprimePair, range_kind: RangeKind, size: int) -> boo
 
 
 def _folded_window(pair: CoprimePair, range_kind: RangeKind, grid: FrequencyGrid) -> np.ndarray:
-    """The biased window (s_b = 1) at k = G/2 ... G from its weight counts, by ``_even_transform``.
+    """The biased window (s_b = 1) at k = G/2 ... G from its weight counts, by one real FFT.
 
-    Raises ConsistencyError unless its value at omega = 0 matches the
-    exact integer ``main_peak`` within the relative check bound.
+    The counts are even, so lag l and its mirror -l fold onto one of the
+    G/2 + 1 half bins, l mod G reflected about G/2, in O(L).  Raises
+    ConsistencyError unless the value at omega = 0 matches the exact
+    integer ``main_peak`` within the relative check bound.
     """
     counts = weight_closed_form(pair, range_kind).counts
-    half = _even_transform(counts.array[counts.limit:], grid)
+    one_sided, size = counts.array[counts.limit:], grid.size
+    bins = np.arange(len(one_sided)) % size
+    np.minimum(bins, size - bins, out=bins)
+    folded = np.bincount(bins[1:], one_sided[1:], size // 2 + 1)
+    # Only at bins 0 and G/2 do l > 0 and -l fold onto the same bin.
+    folded[[0, size // 2]] *= 2.0
+    folded[0] += one_sided[0]
+    half = _real_transform(folded, grid).take(np.arange(size // 2, size + 1), mode="wrap")
     peak = main_peak(pair, range_kind)
     check_residual("folded window at omega = 0", abs(half[0] - peak), peak)
     return half
@@ -564,7 +561,6 @@ def window_term_curves(
     for name, term in weight_terms(pair, range_kind).items():
         # Only non-zero lags fold: self-M and self-N have O(M + N) of the range's O(MN).
         present = np.flatnonzero(term.array)
-        transformed = _lag_transform(present - term.limit, term.array[present], grid,
-                                     "window transform")
-        curves[name] = SpectrumCurve(grid, transformed.values / s_b)
+        curves[name] = _lag_transform(present - term.limit, term.array[present] / s_b, grid,
+                                      "window transform")
     return curves

@@ -17,8 +17,9 @@ from coprimearray.spectra import FrequencyGrid, SpectrumCurve, _lag_transform
 def dtft_of_window(counts: Mapping[int, float], grid: FrequencyGrid) -> SpectrumCurve:
     """``sum_l counts[l] * exp(-i*omega*l)`` on the grid, the oracle for the closed forms.
 
-    Raises ConsistencyError when the imaginary part, zero for symmetric
-    counts, exceeds the relative check bound.
+    Raises ConsistencyError when the folded counts are not symmetric within
+    the relative check bound, since only symmetric counts have a real
+    transform.
     """
     lags = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     values = np.fromiter(counts.values(), dtype=float, count=len(counts))

@@ -9,6 +9,7 @@ import time
 from math import gcd
 
 import numpy as np
+import pytest
 
 from coprimearray import (
     CoprimeCorrelogram,
@@ -210,6 +211,21 @@ def test_criterion_08_choice_table_reproduced():
         worst <= 0.01 and ranked,
         f"worst deviation {worst:.4f}, ranking {'holds' if ranked else 'broken'}",
     )
+
+
+@pytest.mark.parametrize("size", [16384, 2**18])
+def test_tables_reproduced_to_their_printed_digits(size):
+    # Criteria 7 and 8 allow 0.01; every published R is in fact the
+    # package's R rounded to three decimals, the largest deviation 4.95e-4.
+    grid = FrequencyGrid(size)
+    mismatches = []
+    for table in (ORIENTATION_TABLE, CHOICE_TABLE):
+        for (M, N), printed in table.items():
+            for range_kind, expected in zip(RANGES, printed):
+                ratio = relative_amplitude(CoprimePair(M, N), range_kind, grid).relative_amplitude
+                if round(ratio, 3) != expected:
+                    mismatches.append((M, N, range_kind.value, ratio, expected))
+    assert not mismatches
 
 
 def test_criterion_09_complexity_closed_forms():

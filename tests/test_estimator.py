@@ -20,6 +20,7 @@ from coprimearray import (
     ToneComponent,
     autocorrelation,
     bias_biased,
+    bias_unbiased,
     correlogram,
     detect_peaks,
     generate_signal,
@@ -27,6 +28,7 @@ from coprimearray import (
     tones,
     weight_oracle,
 )
+from coprimearray.errors import CHECK_RTOL
 from coprimearray.estimator import _SINGLE_THREAD_MACS, _gram, _gram_blocks, _structure
 
 from reference import dirichlet_ratio
@@ -334,6 +336,57 @@ class TestGramKernel:
             estimator.fit(streams[index % 4]).peaks(1)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / fits < 1.0
+
+
+class TestSymmetryCheck:
+    """``fit`` checks the conjugate symmetry of its folded lag sums."""
+
+    @staticmethod
+    def _bumped_gram(relative):
+        """``_gram`` with entry (0, 1), at a lag in every range, raised by `relative` of sum |Gram|."""
+        def gram(samples):
+            products = _gram(samples)
+            products[0, 1] += relative * np.sum(np.abs(products))
+            return products
+        return gram
+
+    @pytest.mark.parametrize("M,N,range_kind", [(4, 3, "full"), (40, 41, "continuous")])
+    def test_bumped_gram_entry_raises(self, M, N, range_kind, monkeypatch):
+        stream = generate_signal(TestAverageCorrelogram.MODEL, CoprimePair(M, N).period * 3)
+        estimator = CoprimeCorrelogram(M, N, lag_range=range_kind, grid_size=1024)
+        monkeypatch.setattr("coprimearray.estimator._gram", self._bumped_gram(100 * CHECK_RTOL))
+        with pytest.raises(ConsistencyError, match="correlogram conjugate symmetry"):
+            estimator.fit(stream)
+        # A bump well inside the bound is rounding, not a fault.
+        monkeypatch.setattr("coprimearray.estimator._gram", self._bumped_gram(CHECK_RTOL / 100))
+        assert np.all(np.isfinite(estimator.fit(stream).spectrum_))
+
+
+class TestToneAgainstClosedForms:
+    """A noiseless on-grid tone's spectrum is the bias window, scaled and moved to the tone."""
+
+    @pytest.mark.parametrize("grid_size", [1024, 4098])
+    @pytest.mark.parametrize("normalization", ["biased", "unbiased"])
+    @pytest.mark.parametrize("range_kind", list(RangeKind))
+    @pytest.mark.parametrize("M,N", [(4, 3), (3, 7), (14, 13), (13, 14), (40, 41), (100, 101)])
+    def test_spectrum_is_the_rolled_window(self, M, N, range_kind, normalization, grid_size):
+        # r(l) = A^2 * w(l) * exp(i*omega_0*l) / s_b (biased) or A^2 on the
+        # available lags (unbiased), so the spectrum is A^2 times the window
+        # at omega - omega_0.
+        pair, grid, amplitude = CoprimePair(M, N), FrequencyGrid(grid_size), 1.5
+        offset = -(grid_size // 3)
+        t = np.arange(pair.period * 2)
+        # omega_0 * t reduced mod 2*pi in integers, exact however long the stream.
+        stream = amplitude * np.exp(1j * grid.step * (offset * t % grid_size))
+        fitted = CoprimeCorrelogram(M, N, lag_range=range_kind.value, normalization=normalization,
+                                    grid_size=grid_size).fit(stream)
+        if normalization == "biased":
+            window = bias_biased(pair, range_kind, grid, s_b=pair.sample_count)
+        else:
+            window = bias_unbiased(pair, range_kind, grid)
+        expected = amplitude ** 2 * np.roll(window.values, offset)
+        peak = amplitude ** 2 * window.at_zero()
+        assert np.max(np.abs(fitted.spectrum_ - expected)) <= 1e-12 * peak
 
 
 class TestDetectPeaks:

@@ -1,4 +1,4 @@
-"""The package's lag-to-frequency transforms live in ``spectra``: one complex, one real."""
+"""The package's one lag-to-frequency transform lives in ``spectra``, and it is real."""
 
 import ast
 from pathlib import Path
@@ -35,13 +35,21 @@ def test_fft_only_in_spectra():
     assert not found, f"np.fft outside spectra.py: {', '.join(found)}"
 
 
-#: The complex transform behind ``_lag_transform`` and the estimator, and
-#: the real transform of an even window's lag counts.
-FFT_FUNCTIONS = ("_grid_transform", "_even_transform")
+#: The real transform behind every curve the package transforms.
+FFT_FUNCTIONS = ("_real_transform",)
+
+
+def _fft_attributes(tree):
+    """The attributes read off ``np.fft``, such as "hfft" for ``np.fft.hfft``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft" and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            yield node.attr
 
 
 def test_fft_in_spectra_only_in_its_transforms():
-    # A third FFT path would be a third arithmetic to keep in agreement.
+    # A second FFT path would be a second arithmetic to keep in agreement.
     path = PACKAGE / "spectra.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [f"spectra.py:{line}" for node in tree.body
@@ -51,3 +59,15 @@ def test_fft_in_spectra_only_in_its_transforms():
     defined = {node.name: list(_fft_references(node)) for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name in FFT_FUNCTIONS}
     assert sorted(defined) == sorted(FFT_FUNCTIONS) and all(defined.values())
+
+
+def test_the_one_transform_is_real():
+    # Every curve is real, so no complex FFT path may return: each use of
+    # np.fft in the transform is a call of np.fft.hfft, and nothing else.
+    path = PACKAGE / "spectra.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in FFT_FUNCTIONS:
+            attributes = list(_fft_attributes(node))
+            assert attributes and set(attributes) == {"hfft"}, f"{node.name} uses np.fft.{attributes}"
+            assert len(attributes) == len(list(_fft_references(node)))

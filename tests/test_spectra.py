@@ -28,7 +28,7 @@ from coprimearray import (
 from coprimearray.errors import CHECK_RTOL
 from coprimearray.weights import WeightFunction, _LagCounts
 from coprimearray import spectra
-from coprimearray.spectra import (_even_transform, _floor_sum, _fold_is_cheaper, _folded_window, _HalfGrid,
+from coprimearray.spectra import (_floor_sum, _fold_is_cheaper, _folded_window, _HalfGrid,
                                   _lag_transform, _mirrored, _strict_maxima, as_grid, peak_value)
 
 from reference import dirichlet_ratio, dtft_of_window
@@ -361,12 +361,12 @@ class TestFoldedWindow:
 
     @pytest.mark.parametrize("size", [1024, 4096, 4098])
     @pytest.mark.parametrize("M,N", [(4, 3), (3, 7), (40, 41), (100, 101)])
-    def test_even_transform_matches_lag_transform_and_closed_form(self, size, M, N):
+    def test_folded_window_matches_lag_transform_and_closed_form(self, size, M, N):
         # At (100, 101) the lags wrap the grid many times, through bins 0 and G/2.
         pair, grid = CoprimePair(M, N), FrequencyGrid(size)
         for range_kind in RangeKind:
             counts = weight_closed_form(pair, range_kind).counts
-            folded = _mirrored(grid, _even_transform(counts.array[counts.limit:], grid)).values
+            folded = _mirrored(grid, _folded_window(pair, range_kind, grid)).values
             direct = _lag_transform(counts.lags, counts.array, grid, "window transform").values
             closed = bias_biased(pair, range_kind, grid).values
             bound = 1e-14 * main_peak(pair, range_kind)

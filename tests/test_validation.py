@@ -9,6 +9,7 @@ import pytest
 
 import coprimearray
 from coprimearray import (
+    ConsistencyError,
     CoprimeCorrelogram,
     CoprimePair,
     FrequencyGrid,
@@ -321,6 +322,44 @@ class TestEstimateLag:
 
     def test_numpy_integer_lag_accepted(self):
         assert self.ESTIMATE.value(np.int64(-5)) == self.ESTIMATE.value(-5)
+
+
+class TestEstimateFields:
+    """A hand-built ``AutocorrEstimate`` needs lags -limit ... limit and one finite value per lag."""
+
+    ESTIMATE = autocorrelation(STREAM, PAIR)
+    LAGS = ESTIMATE.lags
+    VALUES = ESTIMATE.values
+
+    @pytest.mark.parametrize("fields", [
+        {"values": VALUES[:-1]},
+        {"values": np.append(VALUES, 0.0)},
+        {"values": VALUES.reshape(1, -1)},
+        {"lags": LAGS.astype(float)},
+        {"lags": LAGS + 1},
+        {"lags": LAGS[::-1]},
+        {"lags": LAGS[1:], "values": VALUES[1:]},
+        {"lags": np.array([], dtype=int), "values": np.array([])},
+        {"values": np.where(LAGS == 0, np.nan, VALUES)},
+        {"values": np.where(LAGS == 2, complex(0.0, np.inf), VALUES)},
+        {"values": np.array(["x"] * len(LAGS))},
+    ], ids=["short", "long", "two-dimensional", "float-lags", "shifted-lags", "reversed-lags",
+            "one-sided-lags", "empty", "nan", "infinite-part", "strings"])
+    def test_malformed_fields_rejected(self, fields):
+        with pytest.raises(OutOfRangeError):
+            dataclasses.replace(self.ESTIMATE, **fields)
+
+    def test_list_fields_become_arrays(self):
+        estimate = dataclasses.replace(self.ESTIMATE, lags=self.LAGS.tolist(),
+                                       values=self.VALUES.tolist())
+        assert np.array_equal(correlogram(estimate, GRID).values,
+                              correlogram(self.ESTIMATE, GRID).values)
+
+    def test_non_hermitian_estimate_fails_the_symmetry_check(self):
+        values = self.VALUES.copy()
+        values[len(values) // 2 + 1] += 1.0
+        with pytest.raises(ConsistencyError, match="conjugate symmetry"):
+            correlogram(dataclasses.replace(self.ESTIMATE, values=values), GRID)
 
 
 class TestSignalParameters:
